@@ -183,9 +183,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     lines = []
     for r in results:
         if r.violated:
-            detail = "; ".join(", ".join(inst) if isinstance(inst, tuple) else str(inst)
-                               for inst in r.instances)
-            lines.append(f"{r.constraint_id}: violated ({detail})")
+            lines.append(f"{r.constraint_id}: violated ({'; '.join(r.instances)})")
         else:
             lines.append(f"{r.constraint_id}: satisfied")
     lines.append(f"consistency {k:.4f} ({violated} of {total} violated)")
@@ -196,7 +194,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "id": r.constraint_id,
                 "kind": r.kind.value,
                 "status": r.status,
-                "instances": [list(i) if isinstance(i, tuple) else [i] for i in r.instances],
+                "instances": [[i] for i in r.instances],
             }
             for r in results
         ],

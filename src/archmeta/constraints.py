@@ -98,7 +98,7 @@ def validate_constraint_params(constraint: Constraint) -> None:
                 raise InvalidConstraintParamsError(cid, "relation_kinds must be a non-empty list")
             valid = {k.value for k in RelationKind}
             for item in kinds:
-                if item not in valid:
+                if not isinstance(item, str) or item not in valid:
                     raise InvalidConstraintParamsError(cid, f"unknown relation kind: {item!r}")
     elif kind is ConstraintKind.context_isolation:
         pairs = params.pop("allowed_pairs", None)
@@ -341,20 +341,39 @@ def consistency_score(results: Iterable[ConstraintResult]) -> float:
     return 1.0 - violated / total
 
 
+def _constraint_entry(obj: object, position: int) -> Constraint:
+    """One catalog entry as a Constraint; malformed entries are named by id or #position."""
+    if not isinstance(obj, dict):
+        raise InvalidConstraintParamsError(f"#{position}", "entry must be an object")
+    cid = obj.get("id")
+    if not isinstance(cid, str):
+        raise InvalidConstraintParamsError(f"#{position}", "id must be a string")
+    try:
+        kind = ConstraintKind(obj.get("kind"))
+    except ValueError:
+        raise InvalidConstraintParamsError(cid, f"unknown kind: {obj.get('kind')!r}") from None
+    scope = obj.get("scope", {})
+    if not isinstance(scope, dict) or not all(isinstance(v, list) for v in scope.values()):
+        raise InvalidConstraintParamsError(cid, "scope must be an object of lists")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidConstraintParamsError(cid, "params must be an object")
+    return Constraint(id=cid, kind=kind, scope={k: tuple(v) for k, v in scope.items()}, params=params)
+
+
 def constraints_from_json(text: str) -> tuple[Constraint, ...]:
-    """Parse a {"constraints": [...]} document and validate every entry."""
-    raw = json.loads(text)
-    out = []
-    for obj in raw["constraints"]:
-        scope = {k: tuple(v) for k, v in obj.get("scope", {}).items()}
-        out.append(
-            Constraint(
-                id=obj["id"],
-                kind=ConstraintKind(obj["kind"]),
-                scope=scope,
-                params=obj.get("params", {}),
-            )
-        )
+    """Parse a {"constraints": [...]} document and validate every entry.
+
+    Raises InvalidConstraintParamsError for a malformed document or entry,
+    and NoConstraintsDefinedError for an empty catalog.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConstraintParamsError("(catalog)", f"not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("constraints"), list):
+        raise InvalidConstraintParamsError("(catalog)", 'expected an object with a "constraints" list')
+    out = [_constraint_entry(obj, position) for position, obj in enumerate(raw["constraints"])]
     if not out:
         raise NoConstraintsDefinedError("constraint catalog is empty")
     for constraint in out:

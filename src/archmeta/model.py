@@ -301,28 +301,78 @@ class Metamodel:
                 parents.setdefault(r.target, []).append(r.source)
         return {k: tuple(sorted(v)) for k, v in parents.items()}
 
+    @cached_property
+    def _containment_order(self) -> tuple[str, ...]:
+        """Every entity and containment endpoint, parents before children.
+
+        Kahn's algorithm over the containment relations. Raises
+        ContainmentCycleError when a cycle leaves nodes unordered, which only
+        a directly assembled model can hold (build_metamodel rejects cycles).
+        """
+        pending = {child: len(parents) for child, parents in self.containment_parents.items()}
+        children: dict[str, list[str]] = {}
+        for child, parents in self.containment_parents.items():
+            for parent in parents:
+                children.setdefault(parent, []).append(child)
+        nodes = dict.fromkeys([*self.entity_index, *children])
+        order = [node for node in nodes if node not in pending]
+        for node in order:  # grows while it is walked
+            for child in children.get(node, ()):
+                pending[child] -= 1
+                if not pending[child]:
+                    order.append(child)
+        stuck = sorted(child for child, count in pending.items() if count)
+        if stuck:
+            raise ContainmentCycleError("containment cycle through " + ", ".join(stuck))
+        return tuple(order)
+
+    @cached_property
+    def _ancestor_tables(self) -> dict[EntityKind, dict[str, str | None]]:
+        """kind -> its _ancestor_table, filled on the first lookup of that kind."""
+        return {}
+
     def ancestor_of_kind(self, entity_id: str, kind: EntityKind) -> str | None:
         """Nearest ancestor (or self) of the given kind via containment.
 
         Returns None when there is no such ancestor or when multiple distinct
         ancestors of that kind are reachable (ambiguous membership).
+
+        The first call for a kind makes one O(entities + containment edges)
+        pass over the containment graph, parents before children, and caches
+        the resulting table on the model; every call after that is an O(1)
+        lookup. The containment relations must be acyclic, which
+        build_metamodel guarantees; on a directly assembled model with a
+        cycle this raises ContainmentCycleError.
         """
-        found: set[str] = set()
-        seen: set[str] = set()
-        stack = [entity_id]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            ent = self.entity_index.get(current)
+        table = self._ancestor_tables.get(kind)
+        if table is None:
+            table = self._ancestor_tables[kind] = self._ancestor_table(kind)
+        return table.get(entity_id)
+
+    def _ancestor_table(self, kind: EntityKind) -> dict[str, str | None]:
+        """node -> its unique nearest kind ancestor, or None when ambiguous.
+
+        A node with no such ancestor has no entry. A node of the kind maps to
+        itself; any other node joins its parents' entries, so a diamond over
+        one ancestor stays unique and two distinct ancestors give None.
+        """
+        index = self.entity_index
+        parents = self.containment_parents
+        table: dict[str, str | None] = {}
+        for node in self._containment_order:
+            ent = index.get(node)
             if ent is not None and ent.kind is kind:
-                found.add(current)
-                continue  # nearest: do not climb past a match
-            stack.extend(self.containment_parents.get(current, ()))
-        if len(found) == 1:
-            return next(iter(found))
-        return None
+                table[node] = node
+                continue
+            for parent in parents.get(node, ()):
+                if parent not in table:
+                    continue
+                found = table[parent]
+                if node not in table:
+                    table[node] = found
+                elif table[node] != found:
+                    table[node] = None
+        return table
 
 
 def _trace_validity(link: TraceLink, index: Mapping[str, Entity]) -> str:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from archmeta.model import EntityKind, Metamodel
 
 
 # ---------------------------------------------------------------- tokens
@@ -129,3 +132,27 @@ def oracle_edit_distance(
         if best is None or cost < best:
             best = cost
     return best if best is not None else 0
+
+
+def oracle_ancestor_of_kind(model: Metamodel, entity_id: str, kind: EntityKind) -> str | None:
+    """Nearest ancestor (or self) of the given kind, by a fresh walk per call.
+
+    Depth-first up the containment parents, stopping at each match; more than
+    one distinct match is ambiguous membership and gives None.
+    """
+    found: set[str] = set()
+    seen: set[str] = set()
+    stack = [entity_id]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        ent = model.entity_index.get(current)
+        if ent is not None and ent.kind is kind:
+            found.add(current)
+            continue  # nearest: do not climb past a match
+        stack.extend(model.containment_parents.get(current, ()))
+    if len(found) == 1:
+        return next(iter(found))
+    return None

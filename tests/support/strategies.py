@@ -125,6 +125,38 @@ def random_model(rng: random.Random, max_entities: int = 50) -> Metamodel:
     )
 
 
+_NESTING_KINDS = (EntityKind.BoundedContext, EntityKind.Container, EntityKind.Component)
+
+
+def random_containment_dag(rng: random.Random, max_nodes: int = 30) -> Metamodel:
+    """A directly assembled model whose containment is a multi-parent DAG.
+
+    Node i takes up to three parents among nodes 0..i-1, so diamonds and
+    children under two distinct containers of one kind both occur; kinds come
+    mostly from three nesting kinds so that matches are frequent. About one
+    node in ten is left out of the entities, so some containment endpoints
+    dangle, which only a model assembled without build_metamodel can hold.
+    """
+    n = rng.randint(1, max_nodes)
+    ids = [f"n{i:02d}" for i in range(n)]
+    relations = []
+    for i in range(1, n):
+        for parent in rng.sample(range(i), rng.randint(0, min(i, 3))):
+            relations.append(
+                Relation(f"c{len(relations):03d}", ids[parent], ids[i], RelationKind.containment)
+            )
+    entities = []
+    for node_id in ids:
+        if rng.random() < 0.1:
+            continue
+        if rng.random() < 0.8:
+            kind = rng.choice(_NESTING_KINDS)
+        else:
+            kind = rng.choice(list(EntityKind))
+        entities.append(Entity(node_id, kind, _name(rng)))
+    return Metamodel(system=_name(rng), entities=tuple(entities), relations=tuple(relations))
+
+
 def random_named_graph(rng: random.Random, max_nodes: int = 5) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     """A small directed graph over single-letter names, edges without repeats."""
     count = rng.randint(0, max_nodes)

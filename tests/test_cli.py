@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import archmeta
 from archmeta.metrics.scores import score_report
 from archmeta.remote import EMBED_ENDPOINT_VAR
 from tests.support import desk
@@ -159,6 +163,31 @@ def test_validate_falls_back_to_preset_catalog(cli, tmp_path):
     result = cli("validate", "--model", str(path), "--json")
     assert result.code == 0
     assert json.loads(result.out)["total"] == 16
+
+
+MALFORMED_CATALOGS = [
+    {"nope": []},
+    {"constraints": [{"id": "x", "kind": "bogus"}]},
+    {"constraints": [{"kind": "acyclicity"}]},
+    {"constraints": ["acyclicity"]},
+]
+
+
+@pytest.mark.parametrize("catalog", MALFORMED_CATALOGS)
+def test_validate_malformed_catalog_is_an_input_error(catalog, desk_dir, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    src_root = Path(archmeta.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "archmeta.cli", "validate",
+         "--model", str(desk_dir / "process_b.archmeta.json"), "--constraints", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: constraint ")
 
 
 # ---------------------------------------------------------------- trace

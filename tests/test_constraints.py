@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -343,12 +344,30 @@ def test_constraints_from_json_roundtrip():
 def test_constraints_from_json_rejects_bad_documents():
     with pytest.raises(NoConstraintsDefinedError):
         constraints_from_json('{"constraints": []}')
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConstraintParamsError):
         constraints_from_json('{"constraints": [{"id": "x", "kind": "tidiness"}]}')
     with pytest.raises(InvalidConstraintParamsError):
         constraints_from_json(
             '{"constraints": [{"id": "x", "kind": "layer-boundary", "params": {}}]}'
         )
+
+
+@pytest.mark.parametrize(
+    "document, named",
+    [
+        ('{"nope": []}', "(catalog)"),
+        ("not json", "(catalog)"),
+        ('{"constraints": [{"id": "x", "kind": "bogus"}]}', "'x'"),
+        ('{"constraints": [{"id": "ok", "kind": "acyclicity"}, {"kind": "acyclicity"}]}', "'#1'"),
+        ('{"constraints": ["acyclicity"]}', "'#0'"),
+        ('{"constraints": [{"id": "s", "kind": "acyclicity", "scope": []}]}', "'s'"),
+        ('{"constraints": [{"id": "p", "kind": "acyclicity", "params": [1]}]}', "'p'"),
+        ('{"constraints": [{"id": "r", "kind": "acyclicity", "params": {"relation_kinds": [[1]]}}]}', "'r'"),
+    ],
+)
+def test_constraints_from_json_names_the_malformed_entry(document, named):
+    with pytest.raises(InvalidConstraintParamsError, match=re.escape(named)):
+        constraints_from_json(document)
 
 
 def test_preset_catalog_loads_and_validates():

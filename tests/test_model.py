@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archmeta.errors import (
     ContainmentCycleError,
@@ -15,6 +19,7 @@ from archmeta.model import (
     Entity,
     EntityKind,
     MappingClass,
+    Metamodel,
     Relation,
     RelationKind,
     TraceLink,
@@ -22,6 +27,8 @@ from archmeta.model import (
     layer_of,
     validate_well_formed,
 )
+from tests.oracles import oracle_ancestor_of_kind
+from tests.support.strategies import random_containment_dag, random_model
 
 L = AbstractionLayer
 K = EntityKind
@@ -183,3 +190,40 @@ def test_entities_of_kind_and_index():
     assert [e.id for e in model.entities_of_kind(K.Container)] == ["b", "c"]
     assert model.entity("a").name == "A"
     assert model.entity_index["b"].kind is K.Container
+
+
+def _assert_ancestors_match_oracle(model):
+    ids = [*model.entity_index, *model.containment_parents, "ghost"]
+    for entity_id in ids:
+        for kind in K:
+            expected = oracle_ancestor_of_kind(model, entity_id, kind)
+            assert model.ancestor_of_kind(entity_id, kind) == expected, (entity_id, kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ancestor_of_kind_matches_oracle_on_random_models(seed):
+    _assert_ancestors_match_oracle(random_model(random.Random(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ancestor_of_kind_matches_oracle_on_containment_dags(seed):
+    _assert_ancestors_match_oracle(random_containment_dag(random.Random(seed)))
+
+
+def test_ancestor_of_kind_on_assembled_cycle_raises():
+    model = Metamodel(
+        entities=(
+            Entity("a", K.Container, "A"),
+            Entity("b", K.Component, "B"),
+            Entity("c", K.Component, "C"),
+        ),
+        relations=(
+            Relation("c1", "a", "b", RelationKind.containment),
+            Relation("c2", "b", "a", RelationKind.containment),
+            Relation("c3", "b", "c", RelationKind.containment),
+        ),
+    )
+    with pytest.raises(ContainmentCycleError):
+        model.ancestor_of_kind("c", K.Container)
