@@ -49,7 +49,6 @@ from .metrics.scores import (
 from .model import Metamodel
 from .prompts.context import render_context_block, select_diagram_set
 from .prompts.templates import assemble_prompt, prompt_filename
-from .remote import EmbeddingClient, embed_endpoint_from_env
 from .traces import matrix_to_tsv, trace_matrix, traceability_coverage
 
 
@@ -73,11 +72,29 @@ def _write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _require_file(path: str, flag: str) -> Path:
+def _read_text(path: str | Path, flag: str, errors: str = "strict") -> str:
+    """Contents of an input file, as UTF-8. A missing, unreadable or (with
+    strict errors) undecodable file is a usage error naming the flag and file."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{flag}: not a readable file: {path}")
-    return p
+    try:
+        return p.read_text("utf-8", errors=errors)
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{flag}: not UTF-8 text: {path} (at byte {exc.start}: {exc.reason})"
+        ) from None
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _read_json(path: str | Path, flag: str) -> Any:
+    try:
+        return json.loads(_read_text(path, flag))
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"{flag}: not valid JSON: {path} (line {exc.lineno}, col {exc.colno}: {exc.msg})"
+        ) from None
 
 
 def _require_dir(path: str, flag: str) -> Path:
@@ -88,7 +105,7 @@ def _require_dir(path: str, flag: str) -> Path:
 
 
 def _load_model(path: str, flag: str) -> Metamodel:
-    return loads_model(_require_file(path, flag).read_text("utf-8"))
+    return loads_model(_read_text(path, flag))
 
 
 def _dump_json(payload: Mapping[str, Any]) -> str:
@@ -106,8 +123,7 @@ def _emit(args: argparse.Namespace, human: str, payload: Mapping[str, Any]) -> N
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    paths = [_require_file(p, "input") for p in args.inputs]
-    pairs = [(p.name, p.read_text("utf-8", errors="replace")) for p in paths]
+    pairs = [(Path(p).name, _read_text(p, "input", errors="replace")) for p in args.inputs]
     formats = [args.format] * len(pairs) if args.format else None
     audit = check_parsability(pairs, formats)
     lines = []
@@ -139,11 +155,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    paths = [_require_file(p, "input") for p in args.inputs]
     named = []
-    for p in paths:
+    for p in map(Path, args.inputs):
         diagram = parse_diagram(
-            p.read_text("utf-8", errors="replace"),
+            _read_text(p, "input", errors="replace"),
             format=args.format,
             type_hint=args.type,
         )
@@ -168,7 +183,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 def _constraints_for(args: argparse.Namespace, model: Metamodel):
     if getattr(args, "constraints", None):
-        return constraints_from_json(_require_file(args.constraints, "--constraints").read_text("utf-8"))
+        return constraints_from_json(_read_text(args.constraints, "--constraints"))
     if model.constraints:
         return model.constraints
     return load_preset_constraints()
@@ -252,14 +267,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def _collect_artifacts(root: Path) -> list[tuple[str, str]]:
     files = sorted(p for p in root.rglob("*") if p.is_file())
-    return [(p.relative_to(root).as_posix(), p.read_text("utf-8", errors="replace")) for p in files]
+    return [(p.relative_to(root).as_posix(), _read_text(p, "--artifacts", errors="replace"))
+            for p in files]
 
 
 def _apply_config_defaults(args: argparse.Namespace, keys: Iterable[str]) -> dict[str, Any]:
     effective: dict[str, Any] = {}
     config: dict[str, Any] = {}
     if getattr(args, "config", None):
-        config = json.loads(_require_file(args.config, "--config").read_text("utf-8"))
+        config = _read_json(args.config, "--config")
         if not isinstance(config, dict):
             raise UsageError("--config: expected a JSON object of flag defaults")
     for key in keys:
@@ -286,10 +302,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     reference = _load_model(args.reference, "--reference")
     baseline = _load_model(args.baseline, "--baseline")
     codebase = _require_dir(args.codebase, "--codebase")
-    rules_text = _require_file(args.rules, "--rules").read_text("utf-8")
+    rules_text = _read_text(args.rules, "--rules")
     artifact_dir = _require_dir(args.artifacts, "--artifacts")
     aliases = (
-        load_aliases(_require_file(args.aliases, "--aliases").read_text("utf-8"))
+        load_aliases(_read_text(args.aliases, "--aliases"))
         if args.aliases
         else None
     )
@@ -306,8 +322,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
 
     # semantic fidelity: reference documents vs model documents
-    endpoint = embed_endpoint_from_env()
+    # read here rather than through archmeta.remote, whose urllib and http.client
+    # imports only load when an endpoint is configured
+    endpoint = os.environ.get("ARCHMETA_EMBED_ENDPOINT")
     if endpoint:
+        from .remote import EmbeddingClient
+
         client = EmbeddingClient(endpoint)
         embedder = client.embed
     else:
@@ -431,7 +451,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     root = _require_dir(args.root, "--root")
-    rules_text = _require_file(args.rules, "--rules").read_text("utf-8")
+    rules_text = _read_text(args.rules, "--rules")
     expected = scan_expected(root, rules_text)
     lines = [f"{e.kind.value}\t{e.name}\t{e.origin}" for e in expected]
     payload: dict[str, Any] = {
@@ -442,7 +462,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.model:
         model = _load_model(args.model, "--model")
         aliases = (
-            load_aliases(_require_file(args.aliases, "--aliases").read_text("utf-8"))
+            load_aliases(_read_text(args.aliases, "--aliases"))
             if args.aliases
             else None
         )
@@ -489,7 +509,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         if source == "@context":
             inputs[name] = context_text or ""
         else:
-            inputs[name] = _require_file(source, "--slot").read_text("utf-8")
+            inputs[name] = _read_text(source, "--slot")
     rendered = assemble_prompt(args.process, args.stage, inputs)
     output = args.output or prompt_filename(args.process, args.stage)
     _write_atomic(output, rendered)
@@ -508,9 +528,17 @@ def cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _load_fragment(path: str) -> dict[str, Any]:
-    doc = json.loads(_require_file(path, "report input").read_text("utf-8"))
-    if "metrics" not in doc:
+    doc = _read_json(path, "report input")
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not isinstance(metrics, dict):
         raise UsageError(f"{path}: not a metric report fragment")
+    for key in METRIC_KEYS:
+        entry = metrics.get(key)
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(f), (int, float)) for f in ("raw", "ordinal"))):
+            raise UsageError(
+                f"{path}: not a metric report fragment (no numeric raw and ordinal for {key})"
+            )
     return doc
 
 

@@ -3,13 +3,21 @@
 One document fully describes a model: schema_version, system, entities,
 relations, traces, constraints, diagrams. Serialization is deterministic
 (fixed key order, arrays sorted, two-space indent, trailing newline) so equal
-models produce byte-identical documents. Strict parsing rejects unknown
-fields; non-strict ignores them.
+models produce byte-identical documents: the bytes of json.dumps(doc,
+indent=2, ensure_ascii=False) over the documented key order. Strict parsing
+rejects unknown fields; non-strict ignores them.
+
+Both directions make one pass per record. The writer fills a fixed template
+per record instead of running json's pure-Python indenting encoder; the
+reader checks each field inline in a fixed order, so the first defect of a
+record names the same field whatever else is wrong with it.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, Mapping
 
 from ..errors import DiagramSyntaxError
@@ -31,57 +39,67 @@ from ..model import (
 
 SCHEMA_VERSION = "1.0"
 
-_TOP_KEYS = ("schema_version", "system", "entities", "relations", "traces",
-             "constraints", "diagrams")
-_ENTITY_KEYS = ("id", "kind", "name", "layer", "layer_override", "description",
-                "attributes")
-_RELATION_KEYS = ("id", "source", "target", "kind", "label")
-_TRACE_KEYS = ("source", "target", "mapping_class")
-_CONSTRAINT_KEYS = ("id", "kind", "scope", "params")
-_DIAGRAM_KEYS = ("name", "type", "format", "source_digest")
+_TOP_KEYS = frozenset(("schema_version", "system", "entities", "relations", "traces",
+                       "constraints", "diagrams"))
+_ENTITY_KEYS = frozenset(("id", "kind", "name", "layer", "layer_override", "description",
+                          "attributes"))
+_RELATION_KEYS = frozenset(("id", "source", "target", "kind", "label"))
+_TRACE_KEYS = frozenset(("source", "target", "mapping_class"))
+_CONSTRAINT_KEYS = frozenset(("id", "kind", "scope", "params"))
+_DIAGRAM_KEYS = frozenset(("name", "type", "format", "source_digest"))
+_SCOPE_KEYS = ("layers", "entities")
 
+_ENTITY_KINDS = {k.value: k for k in EntityKind}
+_RELATION_KINDS = {k.value: k for k in RelationKind}
+_MAPPING_CLASSES = {c.value: c for c in MappingClass}
+_CONSTRAINT_KINDS = {k.value: k for k in ConstraintKind}
+_LAYERS = {layer.name: layer for layer in AbstractionLayer}
+
+
+# --- parsing ---------------------------------------------------------------
+#
+# Each record is checked field by field in one fixed order, so the first
+# defect decides the message. Messages are only formatted on failure.
 
 def _fail(reason: str) -> DiagramSyntaxError:
     return DiagramSyntaxError(0, 0, reason)
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: tuple[str, ...], where: str,
-                strict: bool) -> None:
+def _unknown_fields(obj: dict[str, Any], allowed: frozenset[str], where: str) -> DiagramSyntaxError:
+    return _fail(f"{where}: no unknown fields (got {', '.join(sorted(obj.keys() - allowed))})")
+
+
+def _bad_field(obj: dict[str, Any], key: str, where: str) -> DiagramSyntaxError:
+    """A string field that is missing (when required) or holds another type."""
+    if key in obj:
+        return _fail(f"{where}: string value for {key!r}")
+    return _fail(f"{where}: field {key!r}")
+
+
+def _entity_from(obj: Any, strict: bool) -> Entity:
     if not isinstance(obj, dict):
-        raise _fail(f"{where}: object")
-    if strict:
-        unknown = sorted(set(obj) - set(allowed))
-        if unknown:
-            raise _fail(f"{where}: no unknown fields (got {', '.join(unknown)})")
-
-
-def _str_field(obj: Mapping[str, Any], key: str, where: str,
-               required: bool = True, default: str = "") -> str:
-    if key not in obj:
-        if required:
-            raise _fail(f"{where}: field {key!r}")
-        return default
-    val = obj[key]
-    if not isinstance(val, str):
-        raise _fail(f"{where}: string value for {key!r}")
-    return val
-
-
-def _entity_from(obj: Mapping[str, Any], strict: bool) -> Entity:
-    _check_keys(obj, _ENTITY_KEYS, "entity", strict)
-    eid = _str_field(obj, "id", "entity")
-    kind_name = _str_field(obj, "kind", f"entity {eid!r}")
-    try:
-        kind = EntityKind(kind_name)
-    except ValueError:
-        raise _fail(f"entity {eid!r}: known kind (got {kind_name!r})") from None
-    name = _str_field(obj, "name", f"entity {eid!r}")
-    layer_name = _str_field(obj, "layer", f"entity {eid!r}", required=False)
+        raise _fail("entity: object")
+    if strict and not obj.keys() <= _ENTITY_KEYS:
+        raise _unknown_fields(obj, _ENTITY_KEYS, "entity")
+    eid = obj.get("id")
+    if not isinstance(eid, str):
+        raise _bad_field(obj, "id", "entity")
+    kind_name = obj.get("kind")
+    if not isinstance(kind_name, str):
+        raise _bad_field(obj, "kind", f"entity {eid!r}")
+    kind = _ENTITY_KINDS.get(kind_name)
+    if kind is None:
+        raise _fail(f"entity {eid!r}: known kind (got {kind_name!r})")
+    name = obj.get("name")
+    if not isinstance(name, str):
+        raise _bad_field(obj, "name", f"entity {eid!r}")
+    layer_name = obj.get("layer", "")
+    if not isinstance(layer_name, str):
+        raise _bad_field(obj, "layer", f"entity {eid!r}")
     if layer_name:
-        try:
-            layer = AbstractionLayer[layer_name]
-        except KeyError:
-            raise _fail(f"entity {eid!r}: known layer (got {layer_name!r})") from None
+        layer = _LAYERS.get(layer_name)
+        if layer is None:
+            raise _fail(f"entity {eid!r}: known layer (got {layer_name!r})")
     else:
         layer = layer_of(kind)
     override = obj.get("layer_override", False)
@@ -90,64 +108,84 @@ def _entity_from(obj: Mapping[str, Any], strict: bool) -> Entity:
     attributes = obj.get("attributes", {})
     if not isinstance(attributes, dict):
         raise _fail(f"entity {eid!r}: object attributes")
-    return Entity(
-        id=eid, kind=kind, name=name, layer=layer, layer_override=override,
-        description=_str_field(obj, "description", f"entity {eid!r}", required=False),
-        attributes=attributes,
-    )
+    description = obj.get("description", "")
+    if not isinstance(description, str):
+        raise _bad_field(obj, "description", f"entity {eid!r}")
+    return Entity(eid, kind, name, layer, override, description, attributes)
 
 
-def _relation_from(obj: Mapping[str, Any], strict: bool) -> Relation:
-    _check_keys(obj, _RELATION_KEYS, "relation", strict)
-    rid = _str_field(obj, "id", "relation")
-    kind_name = _str_field(obj, "kind", f"relation {rid!r}")
-    try:
-        kind = RelationKind(kind_name)
-    except ValueError:
-        raise _fail(f"relation {rid!r}: known kind (got {kind_name!r})") from None
-    return Relation(
-        id=rid,
-        source=_str_field(obj, "source", f"relation {rid!r}"),
-        target=_str_field(obj, "target", f"relation {rid!r}"),
-        kind=kind,
-        label=_str_field(obj, "label", f"relation {rid!r}", required=False),
-    )
+def _relation_from(obj: Any, strict: bool) -> Relation:
+    if not isinstance(obj, dict):
+        raise _fail("relation: object")
+    if strict and not obj.keys() <= _RELATION_KEYS:
+        raise _unknown_fields(obj, _RELATION_KEYS, "relation")
+    rid = obj.get("id")
+    if not isinstance(rid, str):
+        raise _bad_field(obj, "id", "relation")
+    kind_name = obj.get("kind")
+    if not isinstance(kind_name, str):
+        raise _bad_field(obj, "kind", f"relation {rid!r}")
+    kind = _RELATION_KINDS.get(kind_name)
+    if kind is None:
+        raise _fail(f"relation {rid!r}: known kind (got {kind_name!r})")
+    source = obj.get("source")
+    if not isinstance(source, str):
+        raise _bad_field(obj, "source", f"relation {rid!r}")
+    target = obj.get("target")
+    if not isinstance(target, str):
+        raise _bad_field(obj, "target", f"relation {rid!r}")
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise _bad_field(obj, "label", f"relation {rid!r}")
+    return Relation(rid, source, target, kind, label)
 
 
-def _trace_from(obj: Mapping[str, Any], strict: bool) -> TraceLink:
-    _check_keys(obj, _TRACE_KEYS, "trace", strict)
-    cls_name = _str_field(obj, "mapping_class", "trace")
-    try:
-        cls = MappingClass(cls_name)
-    except ValueError:
-        raise _fail(f"trace: known mapping_class (got {cls_name!r})") from None
-    return TraceLink(
-        source=_str_field(obj, "source", "trace"),
-        target=_str_field(obj, "target", "trace"),
-        mapping_class=cls,
-    )
+def _trace_from(obj: Any, strict: bool) -> TraceLink:
+    if not isinstance(obj, dict):
+        raise _fail("trace: object")
+    if strict and not obj.keys() <= _TRACE_KEYS:
+        raise _unknown_fields(obj, _TRACE_KEYS, "trace")
+    cls_name = obj.get("mapping_class")
+    if not isinstance(cls_name, str):
+        raise _bad_field(obj, "mapping_class", "trace")
+    cls = _MAPPING_CLASSES.get(cls_name)
+    if cls is None:
+        raise _fail(f"trace: known mapping_class (got {cls_name!r})")
+    source = obj.get("source")
+    if not isinstance(source, str):
+        raise _bad_field(obj, "source", "trace")
+    target = obj.get("target")
+    if not isinstance(target, str):
+        raise _bad_field(obj, "target", "trace")
+    return TraceLink(source, target, cls)
 
 
-def _constraint_from(obj: Mapping[str, Any], strict: bool) -> Constraint:
-    _check_keys(obj, _CONSTRAINT_KEYS, "constraint", strict)
-    cid = _str_field(obj, "id", "constraint")
-    kind_name = _str_field(obj, "kind", f"constraint {cid!r}")
-    try:
-        kind = ConstraintKind(kind_name)
-    except ValueError:
-        raise _fail(f"constraint {cid!r}: known kind (got {kind_name!r})") from None
+def _constraint_from(obj: Any, strict: bool) -> Constraint:
+    if not isinstance(obj, dict):
+        raise _fail("constraint: object")
+    if strict and not obj.keys() <= _CONSTRAINT_KEYS:
+        raise _unknown_fields(obj, _CONSTRAINT_KEYS, "constraint")
+    cid = obj.get("id")
+    if not isinstance(cid, str):
+        raise _bad_field(obj, "id", "constraint")
+    kind_name = obj.get("kind")
+    if not isinstance(kind_name, str):
+        raise _bad_field(obj, "kind", f"constraint {cid!r}")
+    kind = _CONSTRAINT_KINDS.get(kind_name)
+    if kind is None:
+        raise _fail(f"constraint {cid!r}: known kind (got {kind_name!r})")
     scope_obj = obj.get("scope") or {}
     if not isinstance(scope_obj, dict):
         raise _fail(f"constraint {cid!r}: object or null scope")
     scope: dict[str, tuple[str, ...]] = {}
-    for key in ("layers", "entities"):
+    for key in _SCOPE_KEYS:
         if key in scope_obj:
             vals = scope_obj[key]
             if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
                 raise _fail(f"constraint {cid!r}: string array scope.{key}")
             scope[key] = tuple(vals)
     if strict:
-        unknown = sorted(set(scope_obj) - {"layers", "entities"})
+        unknown = sorted(scope_obj.keys() - set(_SCOPE_KEYS))
         if unknown:
             raise _fail(f"constraint {cid!r}: no unknown scope fields ({', '.join(unknown)})")
     params = obj.get("params", {})
@@ -156,15 +194,24 @@ def _constraint_from(obj: Mapping[str, Any], strict: bool) -> Constraint:
     return Constraint(id=cid, kind=kind, scope=scope, params=params)
 
 
-def _diagram_ref_from(obj: Mapping[str, Any], strict: bool) -> DiagramRef:
-    _check_keys(obj, _DIAGRAM_KEYS, "diagram reference", strict)
-    return DiagramRef(
-        name=_str_field(obj, "name", "diagram reference"),
-        type=_str_field(obj, "type", "diagram reference"),
-        format=_str_field(obj, "format", "diagram reference"),
-        source_digest=_str_field(obj, "source_digest", "diagram reference",
-                                 required=False),
-    )
+def _diagram_ref_from(obj: Any, strict: bool) -> DiagramRef:
+    if not isinstance(obj, dict):
+        raise _fail("diagram reference: object")
+    if strict and not obj.keys() <= _DIAGRAM_KEYS:
+        raise _unknown_fields(obj, _DIAGRAM_KEYS, "diagram reference")
+    name = obj.get("name")
+    if not isinstance(name, str):
+        raise _bad_field(obj, "name", "diagram reference")
+    dtype = obj.get("type")
+    if not isinstance(dtype, str):
+        raise _bad_field(obj, "type", "diagram reference")
+    fmt = obj.get("format")
+    if not isinstance(fmt, str):
+        raise _bad_field(obj, "format", "diagram reference")
+    digest = obj.get("source_digest", "")
+    if not isinstance(digest, str):
+        raise _bad_field(obj, "source_digest", "diagram reference")
+    return DiagramRef(name, dtype, fmt, digest)
 
 
 def _document(text: str, strict: bool) -> dict[str, Any]:
@@ -174,8 +221,11 @@ def _document(text: str, strict: bool) -> dict[str, Any]:
         raise DiagramSyntaxError(exc.lineno, exc.colno, "valid JSON") from None
     if not isinstance(doc, dict):
         raise _fail("top-level object")
-    _check_keys(doc, _TOP_KEYS, "document", strict)
-    version = _str_field(doc, "schema_version", "document")
+    if strict and not doc.keys() <= _TOP_KEYS:
+        raise _unknown_fields(doc, _TOP_KEYS, "document")
+    version = doc.get("schema_version")
+    if not isinstance(version, str):
+        raise _bad_field(doc, "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise _fail(f"schema_version {SCHEMA_VERSION!r} (got {version!r})")
     for key in ("entities", "relations", "traces", "constraints", "diagrams"):
@@ -187,14 +237,16 @@ def _document(text: str, strict: bool) -> dict[str, Any]:
 def loads_model(text: str, strict: bool = True) -> Metamodel:
     """Parse a canonical document into a validated Metamodel."""
     doc = _document(text, strict)
-    return build_metamodel(
-        entities=[_entity_from(o, strict) for o in doc.get("entities", ())],
-        relations=[_relation_from(o, strict) for o in doc.get("relations", ())],
-        traces=[_trace_from(o, strict) for o in doc.get("traces", ())],
-        constraints=[_constraint_from(o, strict) for o in doc.get("constraints", ())],
-        diagrams=[_diagram_ref_from(o, strict) for o in doc.get("diagrams", ())],
-        system=_str_field(doc, "system", "document", required=False),
-    )
+    entities = [_entity_from(o, strict) for o in doc.get("entities", ())]
+    relations = [_relation_from(o, strict) for o in doc.get("relations", ())]
+    traces = [_trace_from(o, strict) for o in doc.get("traces", ())]
+    constraints = [_constraint_from(o, strict) for o in doc.get("constraints", ())]
+    diagrams = [_diagram_ref_from(o, strict) for o in doc.get("diagrams", ())]
+    system = doc.get("system", "")
+    if not isinstance(system, str):
+        raise _bad_field(doc, "system", "document")
+    return build_metamodel(entities=entities, relations=relations, traces=traces,
+                           constraints=constraints, diagrams=diagrams, system=system)
 
 
 def parse_canonical(text: str, strict: bool = True) -> tuple[list[dict], list[dict]]:
@@ -233,60 +285,85 @@ def parse_canonical(text: str, strict: bool = True) -> tuple[list[dict], list[di
 
 
 # --- serialization ---------------------------------------------------------
+#
+# json.dumps falls back to its pure-Python encoder whenever indent is set.
+# Here each fixed-shape record fills a template, strings go through the C
+# string encoder, and only the free-form attributes, scope and params go
+# through json.dumps, indented to their depth. All pieces are joined once, so
+# no intermediate whole-document string is built.
 
-def _entity_obj(e: Entity) -> dict[str, Any]:
-    return {
-        "id": e.id,
-        "kind": e.kind.value,
-        "name": e.name,
-        "layer": e.layer.name,
-        "layer_override": e.layer_override,
-        "description": e.description,
-        "attributes": {k: e.attributes[k] for k in sorted(e.attributes)},
-    }
+_str = encode_basestring
+_FREE_PAD = "\n      "  # depth of a record's fields: top object > array > record
 
-
-def _relation_obj(r: Relation) -> dict[str, Any]:
-    return {"id": r.id, "source": r.source, "target": r.target,
-            "kind": r.kind.value, "label": r.label}
-
-
-def _trace_obj(t: TraceLink) -> dict[str, Any]:
-    return {"source": t.source, "target": t.target,
-            "mapping_class": t.mapping_class.value}
-
-
-def _constraint_obj(c: Constraint) -> dict[str, Any]:
-    scope: dict[str, list[str]] = {}
-    for key in ("layers", "entities"):
-        vals = c.scope.get(key)
-        if vals:
-            scope[key] = sorted(vals)
-    return {"id": c.id, "kind": c.kind.value, "scope": scope or None,
-            "params": _normalize_params(c.params)}
+_ENTITY_JSON = (',\n    {\n      "id": %s,\n      "kind": %s,\n      "name": %s,'
+                '\n      "layer": %s,\n      "layer_override": %s,\n      "description": %s,'
+                '\n      "attributes": %s\n    }')
+_RELATION_JSON = (',\n    {\n      "id": %s,\n      "source": %s,\n      "target": %s,'
+                  '\n      "kind": %s,\n      "label": %s\n    }')
+_TRACE_JSON = ',\n    {\n      "source": %s,\n      "target": %s,\n      "mapping_class": %s\n    }'
+_CONSTRAINT_JSON = (',\n    {\n      "id": %s,\n      "kind": %s,\n      "scope": %s,'
+                    '\n      "params": %s\n    }')
+_DIAGRAM_JSON = (',\n    {\n      "name": %s,\n      "type": %s,\n      "format": %s,'
+                 '\n      "source_digest": %s\n    }')
 
 
-def _normalize_params(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: params[k] for k in sorted(params)}
+def _free(value: Any) -> str:
+    """A free-form JSON value as json.dumps(indent=2) writes it at field depth.
+
+    Re-indenting by replacing newlines is exact: encoded strings never hold a
+    raw newline.
+    """
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", _FREE_PAD)
 
 
-def _diagram_obj(d: DiagramRef) -> dict[str, Any]:
-    return {"name": d.name, "type": d.type, "format": d.format,
-            "source_digest": d.source_digest}
+def _sorted_mapping(mapping: Mapping[Any, Any]) -> dict[Any, Any]:
+    return {k: mapping[k] for k in sorted(mapping)}
+
+
+def _scope(scope: Mapping[str, Any]) -> dict[str, list[str]] | None:
+    out = {key: sorted(scope[key]) for key in _SCOPE_KEYS if scope.get(key)}
+    return out or None
+
+
+def _array(parts: list[str], key: str, records: list[str]) -> None:
+    """Append `"key": [...]`; each record starts with its comma-and-newline
+    separator, which the first one drops."""
+    if records:
+        records[0] = records[0][1:]
+        parts.append(f',\n  "{key}": [')
+        parts.extend(records)
+        parts.append("\n  ]")
+    else:
+        parts.append(f',\n  "{key}": []')
 
 
 def dumps_model(model: Metamodel) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "system": model.system,
-        "entities": [_entity_obj(e) for e in sorted(model.entities, key=lambda e: e.id)],
-        "relations": [_relation_obj(r) for r in sorted(model.relations, key=lambda r: r.id)],
-        "traces": [
-            _trace_obj(t)
-            for t in sorted(model.traces,
-                            key=lambda t: (t.mapping_class.value, t.source, t.target))
-        ],
-        "constraints": [_constraint_obj(c) for c in sorted(model.constraints, key=lambda c: c.id)],
-        "diagrams": [_diagram_obj(d) for d in sorted(model.diagrams, key=lambda d: d.name)],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    parts = ['{\n  "schema_version": ', _str(SCHEMA_VERSION), ',\n  "system": ', _str(model.system)]
+    _array(parts, "entities", [
+        _ENTITY_JSON % (
+            _str(e.id), _str(e.kind.value), _str(e.name), _str(e.layer.name),
+            "true" if e.layer_override else "false", _str(e.description),
+            _free(_sorted_mapping(e.attributes)) if e.attributes else "{}",
+        )
+        for e in sorted(model.entities, key=attrgetter("id"))
+    ])
+    _array(parts, "relations", [
+        _RELATION_JSON % (_str(r.id), _str(r.source), _str(r.target), _str(r.kind.value),
+                          _str(r.label))
+        for r in sorted(model.relations, key=attrgetter("id"))
+    ])
+    _array(parts, "traces", [
+        _TRACE_JSON % (_str(t.source), _str(t.target), _str(t.mapping_class.value))
+        for t in sorted(model.traces, key=lambda t: (t.mapping_class.value, t.source, t.target))
+    ])
+    _array(parts, "constraints", [
+        _CONSTRAINT_JSON % (_str(c.id), _str(c.kind.value), _free(_scope(c.scope)),
+                            _free(_sorted_mapping(c.params)))
+        for c in sorted(model.constraints, key=attrgetter("id"))
+    ])
+    _array(parts, "diagrams", [
+        _DIAGRAM_JSON % (_str(d.name), _str(d.type), _str(d.format), _str(d.source_digest))
+        for d in sorted(model.diagrams, key=attrgetter("name"))
+    ])
+    parts.append("\n}\n")
+    return "".join(parts)

@@ -48,7 +48,8 @@ def _post_json(url: str, payload: Mapping[str, Any], timeout: float) -> tuple[An
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             raw = response.read()
-    except urllib.error.URLError as exc:
+    except (urllib.error.URLError, TimeoutError) as exc:
+        # a read timeout after connecting is raised bare, not wrapped in URLError
         raise EndpointProtocolError(f"{url}: request failed: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), raw

@@ -9,6 +9,7 @@ assert the package agrees.
 
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -156,3 +157,55 @@ def oracle_ancestor_of_kind(model: Metamodel, entity_id: str, kind: EntityKind) 
     if len(found) == 1:
         return next(iter(found))
     return None
+
+
+# ---------------------------------------------------------------- canonical JSON
+
+
+def oracle_dumps_model(model: Metamodel) -> str:
+    """Canonical document built as nested dicts and written by json.dumps.
+
+    The pure-Python encoder composition the package's template writer
+    replaced; its output defines the canonical bytes.
+    """
+    def scope(vals: Mapping[str, Sequence[str]]) -> dict[str, list[str]] | None:
+        out = {key: sorted(vals[key]) for key in ("layers", "entities") if vals.get(key)}
+        return out or None
+
+    doc = {
+        "schema_version": "1.0",
+        "system": model.system,
+        "entities": [
+            {
+                "id": e.id,
+                "kind": e.kind.value,
+                "name": e.name,
+                "layer": e.layer.name,
+                "layer_override": e.layer_override,
+                "description": e.description,
+                "attributes": {k: e.attributes[k] for k in sorted(e.attributes)},
+            }
+            for e in sorted(model.entities, key=lambda e: e.id)
+        ],
+        "relations": [
+            {"id": r.id, "source": r.source, "target": r.target,
+             "kind": r.kind.value, "label": r.label}
+            for r in sorted(model.relations, key=lambda r: r.id)
+        ],
+        "traces": [
+            {"source": t.source, "target": t.target, "mapping_class": t.mapping_class.value}
+            for t in sorted(model.traces,
+                            key=lambda t: (t.mapping_class.value, t.source, t.target))
+        ],
+        "constraints": [
+            {"id": c.id, "kind": c.kind.value, "scope": scope(c.scope),
+             "params": {k: c.params[k] for k in sorted(c.params)}}
+            for c in sorted(model.constraints, key=lambda c: c.id)
+        ],
+        "diagrams": [
+            {"name": d.name, "type": d.type, "format": d.format,
+             "source_digest": d.source_digest}
+            for d in sorted(model.diagrams, key=lambda d: d.name)
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

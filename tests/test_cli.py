@@ -38,6 +38,17 @@ def _score_argv(desk_dir: Path, side: str = "b") -> list[str]:
     ]
 
 
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on the path."""
+    src_root = Path(archmeta.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+    )
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -177,14 +188,9 @@ MALFORMED_CATALOGS = [
 def test_validate_malformed_catalog_is_an_input_error(catalog, desk_dir, tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
-    src_root = Path(archmeta.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "archmeta.cli", "validate",
-         "--model", str(desk_dir / "process_b.archmeta.json"), "--constraints", str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src_root)},
-    )
+    proc = _run_python("-m", "archmeta.cli", "validate",
+                       "--model", str(desk_dir / "process_b.archmeta.json"),
+                       "--constraints", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: constraint ")
@@ -458,3 +464,61 @@ def test_report_rejects_non_fragments(cli, tmp_path):
     result = cli("report", "--a", str(junk), "--b", str(junk))
     assert result.code == 2
     assert "not a metric report fragment" in result.err
+
+
+# ---------------------------------------------------------------- input boundaries
+
+
+def _malformed_input(case: str, desk_dir: Path, tmp_path: Path) -> tuple[list[str], str]:
+    bad = tmp_path / "bad"
+    good = _fragment(tmp_path / "good.json",
+                     {k: 0.5 for k in ("C", "SF", "K", "TC", "MR", "LCE", "CPC")})
+    if case == "model-not-utf8":
+        bad.write_bytes(b"\xff\xfe{}")
+        return ["validate", "--model", str(bad)], "--model: not UTF-8 text"
+    if case == "rules-not-utf8":
+        bad.write_bytes(b"\xff\xfe*.py\n")
+        return (["extract", "--root", str(desk_dir / "codebase"), "--rules", str(bad)],
+                "--rules: not UTF-8 text")
+    if case == "config-not-json":
+        bad.write_text("{not json")
+        return ["score", "--config", str(bad)], "--config: not valid JSON"
+    if case == "report-not-json":
+        bad.write_text("{not json")
+        return ["report", "--a", str(bad), "--b", good], "report input: not valid JSON"
+    if case == "report-not-object":
+        bad.write_text("[1]")
+        return ["report", "--a", good, "--b", str(bad)], "not a metric report fragment"
+    doc = json.loads(Path(good).read_text())
+    if case == "report-missing-metric":
+        del doc["metrics"]["C"]
+    else:  # report-non-numeric-metric
+        doc["metrics"]["K"]["ordinal"] = "high"
+    bad.write_text(json.dumps(doc))
+    return ["report", "--a", good, "--b", str(bad)], "not a metric report fragment (no numeric"
+
+
+@pytest.mark.parametrize("case", [
+    "model-not-utf8", "rules-not-utf8", "config-not-json", "report-not-json",
+    "report-not-object", "report-missing-metric", "report-non-numeric-metric",
+])
+def test_malformed_input_file_is_a_usage_error(case, desk_dir, tmp_path):
+    argv, message = _malformed_input(case, desk_dir, tmp_path)
+    proc = _run_python("-m", "archmeta.cli", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    proc = _run_python("-c", "import sys, archmeta.cli; print('urllib.request' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_score_uses_the_configured_embedding_endpoint(cli, desk_dir, monkeypatch):
+    monkeypatch.setenv(EMBED_ENDPOINT_VAR, "http://127.0.0.1:9/embed")  # nothing listens there
+    result = cli(*_score_argv(desk_dir))
+    assert result.code == 2
+    assert "request failed" in result.err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -32,11 +33,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         status, payload = route(request)
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):  # the client gave up (/slow)
+            pass
 
     def log_message(self, *args):  # keep test output quiet
         return
@@ -57,6 +61,7 @@ def stub_server():
         "/llm-broken": lambda req: (200, {"completion": 17}),
         "/llm-garbage": lambda req: (200, b"not json at all"),
         "/gone": lambda req: (500, {"error": "boom"}),
+        "/slow": lambda req: (time.sleep(0.3), (200, {"vectors": []}))[1],
     }
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -119,6 +124,13 @@ def test_unreachable_endpoint(stub_server):
     client = LlmClient("http://127.0.0.1:9/llm", timeout=0.5)
     with pytest.raises(EndpointProtocolError, match="request failed"):
         client.complete("x")
+
+
+def test_read_timeout_is_a_protocol_error(stub_server):
+    # the stub accepts the request, then answers only after the client's timeout
+    client = EmbeddingClient(f"{stub_server}/slow", timeout=0.1)
+    with pytest.raises(EndpointProtocolError, match="request failed: timed out"):
+        client.embed_texts(["a"])
 
 
 def test_endpoints_read_from_environment(monkeypatch):

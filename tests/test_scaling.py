@@ -1,20 +1,25 @@
-"""Scaling gate: doubling the input must not quadruple the time.
+"""Scaling gates: doubling the input must not quadruple the time.
 
 Times the stages that walk containment, preset constraint evaluation plus
 pattern detection, on a containment chain of depth n and of depth 2n, each
-with depth/2 dependencies pointing down the chain. Only the ratio is checked,
-never an absolute time, so the gate holds on slow and fast hosts alike.
+with depth/2 dependencies pointing down the chain; and the canonical JSON
+round trip on a wide model of n and 2n entities with about three dependencies
+each. Only the ratio is checked, never an absolute time, so the gates hold on
+slow and fast hosts alike.
 """
 
 from __future__ import annotations
 
+import random
 from time import perf_counter
 
 from archmeta.constraints import evaluate_constraints, load_preset_constraints
+from archmeta.diagrams import dumps_model, loads_model
 from archmeta.extract.patterns import detect_patterns
 from archmeta.model import Entity, EntityKind, Metamodel, Relation, RelationKind, build_metamodel
 
 N = 1000
+WIDE_N = 1500
 REPEATS = 3
 MAX_RATIO = 3.0
 
@@ -51,4 +56,34 @@ def _best_time(depth: int) -> float:
 def test_containment_stages_scale_linearly_in_depth():
     small = _best_time(N)
     large = _best_time(2 * N)
+    assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
+
+
+def _wide(n: int) -> Metamodel:
+    """n entities of mixed kinds, each the source of three dependencies."""
+    rng = random.Random(n)
+    kinds = list(EntityKind)
+    ids = [f"e{i:05d}" for i in range(n)]
+    entities = [Entity(i, rng.choice(kinds), f"Entity {i}", description="does one thing")
+                for i in ids]
+    relations = [
+        Relation(f"d{i:05d}-{k}", ids[i], ids[rng.randrange(n)], RelationKind.dependency)
+        for i in range(n) for k in range(3)
+    ]
+    return build_metamodel(entities, relations)
+
+
+def _best_round_trip(n: int) -> float:
+    model = _wide(n)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = perf_counter()
+        loads_model(dumps_model(model))
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_canonical_round_trip_scales_linearly_in_entities():
+    small = _best_round_trip(WIDE_N)
+    large = _best_round_trip(2 * WIDE_N)
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
