@@ -32,8 +32,8 @@ from .errors import ArchmetaError
 from .extract.matching import load_aliases, match_expected
 from .extract.patterns import detect_patterns, detected_names
 from .extract.scan import scan_expected
-from .metrics.delta import model_delta
-from .metrics.embedding import cosine, lexical_embed
+from .metrics.delta import graph_delta, model_delta, named_dependency_graph
+from .metrics.embedding import lexical_embed
 from .metrics.scores import (
     METRIC_KEYS,
     METRIC_LABELS,
@@ -41,10 +41,11 @@ from .metrics.scores import (
     completeness_ratio,
     constraint_effectiveness,
     document_groups,
+    group_cosines,
     machine_readability,
+    mean_cosine,
     pattern_coverage,
     score_report,
-    semantic_fidelity,
 )
 from .model import Metamodel
 from .prompts.context import render_context_block, select_diagram_set
@@ -333,16 +334,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         client = None
         embedder = lexical_embed
-    ref_groups = document_groups(reference)
-    model_groups = document_groups(model)
-    sf_raw = semantic_fidelity(ref_groups, model_groups, embedder)
-    group_cosines = {
-        name: cosine(embedder(ref_groups[name]), embedder(model_groups[name]))
-        for name in ref_groups
-        if ref_groups[name].strip() and model_groups.get(name, "").strip()
-    }
+    cosines = group_cosines(document_groups(reference), document_groups(model), embedder)
+    sf_raw = mean_cosine(cosines)
     sf_inputs: dict[str, Any] = {
-        "group_cosines": group_cosines,
+        "group_cosines": cosines,
         "provider": client.provider_info() if client else {"provider": "lexical-tf-1+2gram", "dimension": None},
     }
 
@@ -370,8 +365,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
 
     # constraint effectiveness: drift vs unconstrained baseline drift
-    drift = model_delta(reference, model).distance
-    baseline_distance = model_delta(reference, baseline).distance
+    reference_graph = named_dependency_graph(reference)
+    drift = graph_delta(reference_graph, named_dependency_graph(model)).distance
+    baseline_distance = graph_delta(reference_graph, named_dependency_graph(baseline)).distance
     lce_raw = constraint_effectiveness(drift, baseline_distance)
     lce_inputs = {
         "drift_distance": drift,

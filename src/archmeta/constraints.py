@@ -22,6 +22,7 @@ from .model import (
     ConstraintKind,
     EntityKind,
     Metamodel,
+    Relation,
     RelationKind,
 )
 
@@ -118,32 +119,40 @@ def validate_constraint_params(constraint: Constraint) -> None:
 def _scoped_ids(model: Metamodel, scope: Mapping[str, Sequence[str]]) -> set[str] | None:
     if not scope:
         return None
-    layers = set(scope.get("layers", ()))
-    explicit = set(scope.get("entities", ()))
-    out = set()
-    for entity in model.entities:
-        if entity.id in explicit or entity.layer.name in layers:
-            out.add(entity.id)
+    index = model.entity_index
+    out = {i for i in scope.get("entities", ()) if i in index}
+    for name in scope.get("layers", ()):
+        out.update(model.entity_ids_by_layer[AbstractionLayer[name]])
     return out
 
 
 def _scoped_relations(
     model: Metamodel,
     in_scope: set[str] | None,
-    kinds: frozenset[RelationKind],
-) -> list:
-    rels = []
-    for rel in model.relations:
-        if rel.kind not in kinds:
+    kinds: Iterable[RelationKind],
+) -> list[Relation]:
+    """Relations of the given kinds with both endpoints in scope, in model order.
+
+    Scoped, only the in-scope sources' out-relations are visited.
+    """
+    relations = model.relations
+    positions = []
+    for kind in kinds:
+        out = model.out_relations[kind]
+        if in_scope is None:
+            for found in out.values():
+                positions.extend(found)
             continue
-        if in_scope is not None and (rel.source not in in_scope or rel.target not in in_scope):
-            continue
-        rels.append(rel)
-    return rels
+        for source in in_scope:
+            for pos in out.get(source, ()):
+                if relations[pos].target in in_scope:
+                    positions.append(pos)
+    positions.sort()
+    return [relations[pos] for pos in positions]
 
 
-_DEP = frozenset({RelationKind.dependency})
-_DEP_OR_DATA = frozenset({RelationKind.dependency, RelationKind.data_flow})
+_DEP = (RelationKind.dependency,)
+_DEP_OR_DATA = (RelationKind.dependency, RelationKind.data_flow)
 
 
 def _eval_dependency_direction(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
@@ -152,14 +161,15 @@ def _eval_dependency_direction(model: Metamodel, constraint: Constraint, in_scop
         ordered = [(g["name"], tuple(g["layers"])) for g in raw_groups]
     else:
         ordered = list(DEFAULT_DIRECTION_GROUPS)
-    position: dict[str, int] = {}
+    position: dict[AbstractionLayer, int] = {}
     for idx, (_name, layers) in enumerate(ordered):
         for layer in layers:
-            position[layer] = idx
+            position[AbstractionLayer[layer]] = idx
+    index = model.entity_index
     violations = []
     for rel in _scoped_relations(model, in_scope, _DEP):
-        src = position.get(model.entity(rel.source).layer.name)
-        tgt = position.get(model.entity(rel.target).layer.name)
+        src = position.get(index[rel.source].layer)
+        tgt = position.get(index[rel.target].layer)
         if src is None or tgt is None:
             continue
         # inward (toward the last group) is the allowed direction
@@ -169,14 +179,13 @@ def _eval_dependency_direction(model: Metamodel, constraint: Constraint, in_scop
 
 
 def _eval_layer_boundary(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
-    allowed = set(constraint.params["allowed_targets"])
+    allowed = {AbstractionLayer[name] for name in constraint.params["allowed_targets"]}
+    index = model.entity_index
     violations = []
-    for rel in model.relations:
-        if rel.kind is not RelationKind.dependency:
-            continue
+    for rel in model.relations_by_kind[RelationKind.dependency]:
         if in_scope is not None and rel.source not in in_scope:
             continue
-        if model.entity(rel.target).layer.name not in allowed:
+        if index[rel.target].layer not in allowed:
             violations.append(rel.id)
     return violations
 
@@ -231,7 +240,7 @@ def _strongly_connected(nodes: set[str], out_edges: dict[str, list[str]]) -> lis
 
 def _eval_acyclicity(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
     kind_names = constraint.params.get("relation_kinds") or ("dependency",)
-    kinds = frozenset(RelationKind(k) for k in kind_names)
+    kinds = {RelationKind(k) for k in kind_names}
     nodes: set[str] = set()
     out_edges: dict[str, list[str]] = {}
     self_loops: set[str] = set()
@@ -254,15 +263,17 @@ def _eval_context_isolation(model: Metamodel, constraint: Constraint, in_scope: 
     allowed_pairs = {
         (pair[0], pair[1]) for pair in constraint.params.get("allowed_pairs", ())
     }
+    context_of = model.ancestor_table(EntityKind.BoundedContext)
+    index = model.entity_index
     violations = []
     for rel in _scoped_relations(model, in_scope, _DEP):
-        src_ctx = model.ancestor_of_kind(rel.source, EntityKind.BoundedContext)
-        tgt_ctx = model.ancestor_of_kind(rel.target, EntityKind.BoundedContext)
+        src_ctx = context_of.get(rel.source)
+        tgt_ctx = context_of.get(rel.target)
         if src_ctx is None or tgt_ctx is None or src_ctx == tgt_ctx:
             continue
         if (src_ctx, tgt_ctx) in allowed_pairs:
             continue
-        if model.entity(rel.target).kind is not EntityKind.ApiInterface:
+        if index[rel.target].kind is not EntityKind.ApiInterface:
             violations.append(rel.id)
     return violations
 
@@ -283,13 +294,15 @@ def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: se
 
 
 def _eval_interface_mediation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
+    container_of = model.ancestor_table(EntityKind.Container)
+    index = model.entity_index
     violations = []
     for rel in _scoped_relations(model, in_scope, _DEP):
-        src_box = model.ancestor_of_kind(rel.source, EntityKind.Container)
-        tgt_box = model.ancestor_of_kind(rel.target, EntityKind.Container)
+        src_box = container_of.get(rel.source)
+        tgt_box = container_of.get(rel.target)
         if src_box is None or tgt_box is None or src_box == tgt_box:
             continue
-        if model.entity(rel.target).kind is not EntityKind.ApiInterface:
+        if index[rel.target].kind is not EntityKind.ApiInterface:
             violations.append(rel.id)
     return violations
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import (
     AmbiguousElementClassError,
@@ -174,7 +174,7 @@ def combine_fragments(fragments: Iterable[ModelFragment], system: str = "") -> M
     record); relations deduplicate on (source, target, kind, label) and are
     re-numbered only when their ids collide.
     """
-    ordered = fragments_list(fragments)
+    ordered = tuple(fragments)
     entities: dict[str, Entity] = {}
     for fragment in ordered:
         for ent in fragment.entities:
@@ -213,12 +213,6 @@ def combine_fragments(fragments: Iterable[ModelFragment], system: str = "") -> M
         relations=relations,
         diagrams=refs,
     )
-
-
-def fragments_list(fragments: Iterable[ModelFragment]) -> Sequence[ModelFragment]:
-    if isinstance(fragments, (list, tuple)):
-        return fragments
-    return tuple(fragments)
 
 
 def lift_to_metamodel(

@@ -11,20 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..model import EntityKind, Metamodel, RelationKind
+from ..model import AbstractionLayer, EntityKind, Metamodel, RelationKind
 
 LAYERED_MIN_LAYERS = 2
 MICROSERVICES_MIN_CONTAINERS = 2
 FACADE_MIN_CLIENTS = 3
 FACADE_MIN_DELEGATES = 2
 
+_L = AbstractionLayer
 _GROUP_ORDER = {
     # coarse group ordinal, business innermost
-    "Business": 0, "BusinessConceptual": 0, "BusinessSystem": 0,
-    "System": 1, "SystemPattern": 1, "SystemStructural": 1,
-    "SystemRuntime": 1, "Runtime": 1,
-    "Implementation": 2, "ImplementationBehavioral": 2, "Behavioral": 2,
-    "Evolutionary": 2,
+    _L.Business: 0, _L.BusinessConceptual: 0, _L.BusinessSystem: 0,
+    _L.System: 1, _L.SystemPattern: 1, _L.SystemStructural: 1,
+    _L.SystemRuntime: 1, _L.Runtime: 1,
+    _L.Implementation: 2, _L.ImplementationBehavioral: 2, _L.Behavioral: 2,
+    _L.Evolutionary: 2,
 }
 
 
@@ -39,7 +40,12 @@ def _role(entity) -> str:
 
 
 def _dependency_edges(model: Metamodel):
-    return [r for r in model.relations if r.kind is RelationKind.dependency]
+    return model.relations_by_kind[RelationKind.dependency]
+
+
+def _dependency_and_data_edges(model: Metamodel):
+    by_kind = model.relations_by_kind
+    return by_kind[RelationKind.dependency] + by_kind[RelationKind.data_flow]
 
 
 def _detect_layered(model: Metamodel) -> PatternHit | None:
@@ -49,10 +55,11 @@ def _detect_layered(model: Metamodel) -> PatternHit | None:
     layers = {int(e.layer) for e in model.entities}
     if len(layers) < LAYERED_MIN_LAYERS:
         return None
+    index = model.entity_index
     cross = []
     for rel in deps:
-        src = int(model.entity(rel.source).layer)
-        tgt = int(model.entity(rel.target).layer)
+        src = index[rel.source].layer
+        tgt = index[rel.target].layer
         if tgt > src:
             return None
         if tgt < src:
@@ -66,10 +73,11 @@ def _detect_clean_onion(model: Metamodel) -> PatternHit | None:
     deps = _dependency_edges(model)
     if not deps:
         return None
+    index = model.entity_index
     cross = []
     for rel in deps:
-        src = _GROUP_ORDER[model.entity(rel.source).layer.name]
-        tgt = _GROUP_ORDER[model.entity(rel.target).layer.name]
+        src = _GROUP_ORDER[index[rel.source].layer]
+        tgt = _GROUP_ORDER[index[rel.target].layer]
         if tgt > src:
             return None
         if tgt < src:
@@ -88,9 +96,7 @@ def _detect_cqrs(model: Metamodel) -> PatternHit | None:
     query_ids = {e.id for e in queries}
     written: set[str] = set()
     read: set[str] = set()
-    for rel in model.relations:
-        if rel.kind not in (RelationKind.dependency, RelationKind.data_flow):
-            continue
+    for rel in _dependency_and_data_edges(model):
         target = model.entity_index.get(rel.target)
         if target is None or target.kind is not EntityKind.DataStore:
             continue
@@ -111,9 +117,7 @@ def _detect_event_driven(model: Metamodel) -> PatternHit | None:
     produced: set[str] = set()
     consumed: set[str] = set()
     flow_ids: dict[str, list[str]] = {}
-    for rel in model.relations:
-        if rel.kind is not RelationKind.message_flow:
-            continue
+    for rel in model.relations_by_kind[RelationKind.message_flow]:
         if rel.target in events:
             produced.add(rel.target)
             flow_ids.setdefault(rel.target, []).append(rel.id)
@@ -131,10 +135,11 @@ def _detect_microservices(model: Metamodel) -> PatternHit | None:
     containers = model.entities_of_kind(EntityKind.Container)
     if len(containers) < MICROSERVICES_MIN_CONTAINERS:
         return None
+    container_of = model.ancestor_table(EntityKind.Container)
     cross = []
     for rel in _dependency_edges(model):
-        src_box = model.ancestor_of_kind(rel.source, EntityKind.Container)
-        tgt_box = model.ancestor_of_kind(rel.target, EntityKind.Container)
+        src_box = container_of.get(rel.source)
+        tgt_box = container_of.get(rel.target)
         if src_box and tgt_box and src_box != tgt_box:
             cross.append(rel.id)
     if not cross:
@@ -170,9 +175,7 @@ def _detect_repository(model: Metamodel) -> PatternHit | None:
         return None
     store_kinds = (EntityKind.DataStore, EntityKind.Table)
     backed = set()
-    for rel in model.relations:
-        if rel.kind not in (RelationKind.dependency, RelationKind.data_flow):
-            continue
+    for rel in _dependency_and_data_edges(model):
         if rel.source in repos:
             target = model.entity_index.get(rel.target)
             if target is not None and target.kind in store_kinds:

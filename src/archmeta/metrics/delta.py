@@ -49,11 +49,11 @@ def named_dependency_graph(
 ) -> NamedGraph:
     names = {eid: normalize_name(e.name) for eid, e in model.entity_index.items()}
     nodes = frozenset(names.values())
-    wanted = set(relation_kinds)
     edges = frozenset(
         (names[r.source], names[r.target])
-        for r in model.relations
-        if r.kind in wanted and r.source in names and r.target in names
+        for kind in relation_kinds
+        for r in model.relations_by_kind[kind]
+        if r.source in names and r.target in names
     )
     return NamedGraph(nodes=nodes, edges=edges)
 

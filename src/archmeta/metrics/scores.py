@@ -89,12 +89,17 @@ def document_groups(model: Metamodel) -> dict[str, str]:
     }
 
 
-def semantic_fidelity(
+def group_cosines(
     original: Mapping[str, str],
     regenerated: Mapping[str, str],
     embedder: Embedder = lexical_embed,
-) -> float:
-    """Mean per-group cosine over the groups with text on both sides."""
+) -> dict[str, float]:
+    """Cosine per group with text on both sides, embedding each text once.
+
+    The fixed DOCUMENT_GROUPS come first in their order, then the original's
+    extra groups. Raises NoComparableGroupsError when no group has text on
+    both sides.
+    """
     shared = [
         name
         for name in DOCUMENT_GROUPS
@@ -111,10 +116,24 @@ def semantic_fidelity(
     shared.extend(extra)
     if not shared:
         raise NoComparableGroupsError("no document group has text on both sides")
+    return {name: cosine(embedder(original[name]), embedder(regenerated[name])) for name in shared}
+
+
+def mean_cosine(cosines: Mapping[str, float]) -> float:
+    """Semantic fidelity from group_cosines: their mean, summed in group order."""
     total = 0.0
-    for name in shared:
-        total += cosine(embedder(original[name]), embedder(regenerated[name]))
-    return total / len(shared)
+    for value in cosines.values():
+        total += value
+    return total / len(cosines)
+
+
+def semantic_fidelity(
+    original: Mapping[str, str],
+    regenerated: Mapping[str, str],
+    embedder: Embedder = lexical_embed,
+) -> float:
+    """Mean per-group cosine over the groups with text on both sides."""
+    return mean_cosine(group_cosines(original, regenerated, embedder))
 
 
 def semantic_fidelity_between(

@@ -182,7 +182,7 @@ class ConstraintKind(enum.Enum):
     interface_mediation = "interface-mediation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A typed node.
 
@@ -203,7 +203,7 @@ class Entity:
             object.__setattr__(self, "layer", layer_of(self.kind))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A typed directed edge between two entity ids."""
 
@@ -214,7 +214,7 @@ class Relation:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceLink:
     """An undirected cross-layer mapping between two entity ids.
 
@@ -229,7 +229,7 @@ class TraceLink:
     validity: str = "valid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """A declared architectural rule; evaluation lives in archmeta.constraints.
 
@@ -243,7 +243,7 @@ class Constraint:
     params: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagramRef:
     """Pointer to a diagram artifact that contributed to or renders the model."""
 
@@ -253,7 +253,7 @@ class DiagramRef:
     source_digest: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One well-formedness violation."""
 
@@ -292,13 +292,43 @@ class Metamodel:
         wanted = set(kinds)
         return tuple(e for e in self.entities if e.kind in wanted)
 
+    # The indices below are built on first use and cached on the frozen model,
+    # like entity_index. Callers read them and must not mutate them.
+
+    @cached_property
+    def entity_ids_by_layer(self) -> dict[AbstractionLayer, tuple[str, ...]]:
+        """layer -> ids of the entities on it, in model order; every layer has an entry."""
+        by_layer: dict[AbstractionLayer, list[str]] = {layer: [] for layer in AbstractionLayer}
+        for e in self.entities:
+            by_layer[e.layer].append(e.id)
+        return {layer: tuple(ids) for layer, ids in by_layer.items()}
+
+    @cached_property
+    def relations_by_kind(self) -> dict[RelationKind, tuple[Relation, ...]]:
+        """kind -> its relations, in model order; every kind has an entry."""
+        by_kind: dict[RelationKind, list[Relation]] = {kind: [] for kind in RelationKind}
+        for r in self.relations:
+            by_kind[r.kind].append(r)
+        return {kind: tuple(rels) for kind, rels in by_kind.items()}
+
+    @cached_property
+    def out_relations(self) -> dict[RelationKind, dict[str, tuple[int, ...]]]:
+        """kind -> source id -> positions in `relations` of that source's
+        relations of the kind, ascending; sources without any have no entry."""
+        by_kind: dict[RelationKind, dict[str, list[int]]] = {kind: {} for kind in RelationKind}
+        for pos, r in enumerate(self.relations):
+            by_kind[r.kind].setdefault(r.source, []).append(pos)
+        return {
+            kind: {source: tuple(found) for source, found in out.items()}
+            for kind, out in by_kind.items()
+        }
+
     @cached_property
     def containment_parents(self) -> dict[str, tuple[str, ...]]:
         """child id -> parent ids, from containment relations (parent ⊃ child)."""
         parents: dict[str, list[str]] = {}
-        for r in self.relations:
-            if r.kind is RelationKind.containment:
-                parents.setdefault(r.target, []).append(r.source)
+        for r in self.relations_by_kind[RelationKind.containment]:
+            parents.setdefault(r.target, []).append(r.source)
         return {k: tuple(sorted(v)) for k, v in parents.items()}
 
     @cached_property
@@ -328,37 +358,38 @@ class Metamodel:
 
     @cached_property
     def _ancestor_tables(self) -> dict[EntityKind, dict[str, str | None]]:
-        """kind -> its _ancestor_table, filled on the first lookup of that kind."""
+        """kind -> its ancestor_table, filled on the first lookup of that kind."""
         return {}
 
     def ancestor_of_kind(self, entity_id: str, kind: EntityKind) -> str | None:
         """Nearest ancestor (or self) of the given kind via containment.
 
         Returns None when there is no such ancestor or when multiple distinct
-        ancestors of that kind are reachable (ambiguous membership).
-
-        The first call for a kind makes one O(entities + containment edges)
-        pass over the containment graph, parents before children, and caches
-        the resulting table on the model; every call after that is an O(1)
-        lookup. The containment relations must be acyclic, which
-        build_metamodel guarantees; on a directly assembled model with a
-        cycle this raises ContainmentCycleError.
+        ancestors of that kind are reachable (ambiguous membership). One
+        lookup in ancestor_table(kind); callers asking for many ids fetch the
+        table once instead.
         """
-        table = self._ancestor_tables.get(kind)
-        if table is None:
-            table = self._ancestor_tables[kind] = self._ancestor_table(kind)
-        return table.get(entity_id)
+        return self.ancestor_table(kind).get(entity_id)
 
-    def _ancestor_table(self, kind: EntityKind) -> dict[str, str | None]:
-        """node -> its unique nearest kind ancestor, or None when ambiguous.
+    def ancestor_table(self, kind: EntityKind) -> dict[str, str | None]:
+        """node id -> its nearest ancestor (or self) of the kind, None when ambiguous.
 
         A node with no such ancestor has no entry. A node of the kind maps to
         itself; any other node joins its parents' entries, so a diamond over
         one ancestor stays unique and two distinct ancestors give None.
+
+        The first call for a kind makes one O(entities + containment edges)
+        pass over the containment graph, parents before children, and caches
+        the table on the model. The containment relations must be acyclic,
+        which build_metamodel guarantees; on a directly assembled model with a
+        cycle this raises ContainmentCycleError.
         """
+        table = self._ancestor_tables.get(kind)
+        if table is not None:
+            return table
         index = self.entity_index
         parents = self.containment_parents
-        table: dict[str, str | None] = {}
+        table = {}
         for node in self._containment_order:
             ent = index.get(node)
             if ent is not None and ent.kind is kind:
@@ -372,6 +403,7 @@ class Metamodel:
                     table[node] = found
                 elif table[node] != found:
                     table[node] = None
+        self._ancestor_tables[kind] = table
         return table
 
 
@@ -578,10 +610,8 @@ def dependency_graph(
 
     edges = frozenset(
         (r.source, r.target)
-        for r in model.relations
-        if r.kind is RelationKind.dependency
-        and r.source in scope
-        and r.target in scope
+        for r in model.relations_by_kind[RelationKind.dependency]
+        if r.source in scope and r.target in scope
     )
     nodes = frozenset(scope) | {n for edge in edges for n in edge}
     return DependencyGraph(nodes=nodes, edges=edges)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
-    from archmeta.model import EntityKind, Metamodel
+    from archmeta.model import EntityKind, Metamodel, Relation, RelationKind
 
 
 # ---------------------------------------------------------------- tokens
@@ -157,6 +157,38 @@ def oracle_ancestor_of_kind(model: Metamodel, entity_id: str, kind: EntityKind) 
     if len(found) == 1:
         return next(iter(found))
     return None
+
+
+# ---------------------------------------------------------------- constraint scope
+
+
+def oracle_scoped_ids(model: Metamodel, scope: Mapping[str, Sequence[str]]) -> set[str] | None:
+    """Entity ids a scope admits, by one pass over every entity; None when unscoped."""
+    if not scope:
+        return None
+    layers = set(scope.get("layers", ()))
+    explicit = set(scope.get("entities", ()))
+    out = set()
+    for entity in model.entities:
+        if entity.id in explicit or entity.layer.name in layers:
+            out.add(entity.id)
+    return out
+
+
+def oracle_scoped_relations(
+    model: Metamodel, in_scope: set[str] | None, kinds: Iterable[RelationKind]
+) -> list[Relation]:
+    """Relations of the given kinds with both endpoints in scope, by one pass
+    over every relation, so in model order."""
+    wanted = set(kinds)
+    rels = []
+    for rel in model.relations:
+        if rel.kind not in wanted:
+            continue
+        if in_scope is not None and (rel.source not in in_scope or rel.target not in in_scope):
+            continue
+        rels.append(rel)
+    return rels
 
 
 # ---------------------------------------------------------------- canonical JSON

@@ -157,6 +157,43 @@ def random_containment_dag(rng: random.Random, max_nodes: int = 30) -> Metamodel
     return Metamodel(system=_name(rng), entities=tuple(entities), relations=tuple(relations))
 
 
+_ARCHITECTURE_KINDS = (
+    EntityKind.BoundedContext, EntityKind.Container, EntityKind.Component,
+    EntityKind.ApiInterface, EntityKind.Command, EntityKind.Query, EntityKind.DataStore,
+    EntityKind.Event, EntityKind.Module,
+)
+_FLOW_KINDS = (RelationKind.dependency, RelationKind.data_flow, RelationKind.message_flow)
+
+
+def random_nested_model(rng: random.Random, max_entities: int = 40) -> Metamodel:
+    """A built model dense in what the structural rules look at.
+
+    Kinds come from contexts, containers, components, interfaces, commands,
+    queries, stores, events and modules; node i takes up to two containment
+    parents among nodes 0..i-1 (so shared and ambiguous membership occur),
+    and flows are mostly dependencies. About one entity in six carries a role.
+    """
+    n = rng.randint(1, max_entities)
+    entities = []
+    for i in range(n):
+        attrs: dict[str, object] = {}
+        if rng.random() < 0.17:
+            attrs["role"] = rng.choice(["core", "adapter", "repository", "model", "view", "controller"])
+        entities.append(Entity(f"e{i:02d}", rng.choice(_ARCHITECTURE_KINDS), _name(rng),
+                               attributes=attrs))
+    relations = []
+    for i in range(1, n):
+        for parent in rng.sample(range(i), min(i, rng.choice((0, 1, 1, 1, 2)))):
+            relations.append(Relation(f"c{len(relations):03d}", f"e{parent:02d}", f"e{i:02d}",
+                                      RelationKind.containment))
+    for _ in range(rng.randint(0, 3 * n)):
+        kind = rng.choice(_FLOW_KINDS) if rng.random() < 0.4 else RelationKind.dependency
+        relations.append(Relation(f"r{len(relations):03d}", f"e{rng.randrange(n):02d}",
+                                  f"e{rng.randrange(n):02d}", kind))
+    rng.shuffle(relations)
+    return build_metamodel(entities=entities, relations=relations, system=_name(rng))
+
+
 def random_named_graph(rng: random.Random, max_nodes: int = 5) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     """A small directed graph over single-letter names, edges without repeats."""
     count = rng.randint(0, max_nodes)

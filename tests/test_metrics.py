@@ -36,7 +36,9 @@ from archmeta.metrics.scores import (
     completeness_ratio,
     constraint_effectiveness,
     document_groups,
+    group_cosines,
     machine_readability,
+    mean_cosine,
     ordinal_score,
     pattern_coverage,
     score_report,
@@ -192,6 +194,44 @@ def test_semantic_fidelity_accepts_custom_groups_and_embedders():
 def test_semantic_fidelity_requires_a_shared_group():
     with pytest.raises(NoComparableGroupsError):
         semantic_fidelity({"domain-entities": "order"}, {"domain-entities": "  "})
+
+
+def test_group_cosines_order_and_one_embedding_per_text():
+    original = {
+        "zeta": "alpha beta",
+        "api-contracts": "gateway routes",
+        "domain-entities": "order refund",
+        "alpha": "cart mail",
+        "component-responsibilities": "",
+    }
+    regenerated = {
+        "domain-entities": "order",
+        "api-contracts": "gateway routes",
+        "alpha": "cart ledger",
+        "zeta": "beta alpha",
+        "component-responsibilities": "skipped: empty on the original side",
+    }
+    embedded: list[str] = []
+
+    def counting(text):
+        embedded.append(text)
+        return lexical_embed(text)
+
+    cosines = group_cosines(original, regenerated, counting)
+    assert list(cosines) == ["domain-entities", "api-contracts", "alpha", "zeta"]
+    assert len(embedded) == 2 * len(cosines)
+    for name, value in cosines.items():
+        assert value == cosine(lexical_embed(original[name]), lexical_embed(regenerated[name]))
+    total = 0.0
+    for value in cosines.values():
+        total += value
+    assert mean_cosine(cosines) == total / len(cosines)
+    assert semantic_fidelity(original, regenerated) == total / len(cosines)
+
+
+def test_group_cosines_requires_a_shared_group():
+    with pytest.raises(NoComparableGroupsError):
+        group_cosines({"domain-entities": "order"}, {"api-contracts": "order"})
 
 
 def test_semantic_fidelity_between_desk_models(original_model, process_b_model):

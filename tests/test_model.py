@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -16,8 +17,12 @@ from archmeta.errors import (
 from archmeta.model import (
     DEFAULT_LAYER,
     AbstractionLayer,
+    Constraint,
+    ConstraintKind,
+    DiagramRef,
     Entity,
     EntityKind,
+    Finding,
     MappingClass,
     Metamodel,
     Relation,
@@ -198,6 +203,7 @@ def _assert_ancestors_match_oracle(model):
         for kind in K:
             expected = oracle_ancestor_of_kind(model, entity_id, kind)
             assert model.ancestor_of_kind(entity_id, kind) == expected, (entity_id, kind)
+            assert model.ancestor_table(kind).get(entity_id) == expected, (entity_id, kind)
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,3 +233,27 @@ def test_ancestor_of_kind_on_assembled_cycle_raises():
     )
     with pytest.raises(ContainmentCycleError):
         model.ancestor_of_kind("c", K.Container)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Entity("e", K.Component, "E"),
+        Relation("r", "a", "b", RelationKind.dependency),
+        TraceLink("a", "b", MappingClass.capability_container),
+        Constraint("k", ConstraintKind.acyclicity),
+        DiagramRef("v", "SystemContainer", "plantuml"),
+        Finding("duplicate-id", "e", "entity id 'e' repeats"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    first = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, "changed")
+    # a name that is not a field is rejected too; CPython 3.11 raises TypeError
+    # for it on slotted frozen dataclasses, later versions FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        record.extra = 1
+    assert not hasattr(record, "extra")

@@ -19,12 +19,15 @@ from archmeta.remote import (
     embed_endpoint_from_env,
     llm_endpoint_from_env,
 )
+from tests.test_cli import _score_argv
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Routes by path; each path returns a canned behavior."""
+    """Routes by path; each path returns a canned behavior. Requests are
+    counted per path in server.hits."""
 
     def do_POST(self):  # noqa: N802 (stdlib casing)
+        self.server.hits[self.path] = self.server.hits.get(self.path, 0) + 1
         length = int(self.headers.get("Content-Length", "0"))
         request = json.loads(self.rfile.read(length) or b"{}")
         route = getattr(self.server, "routes", {}).get(self.path)
@@ -46,11 +49,17 @@ class _StubHandler(BaseHTTPRequestHandler):
         return
 
 
+def _length_vectors(req):
+    return 200, {"vectors": [[float(len(t)), 1.0] for t in req["texts"]]}
+
+
 @pytest.fixture(scope="module")
-def stub_server():
+def stub():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.hits = {}
     server.routes = {
-        "/embed": lambda req: (200, {"vectors": [[float(len(t)), 1.0] for t in req["texts"]]}),
+        "/embed": _length_vectors,
+        "/embed-score": _length_vectors,
         "/embed-short": lambda req: (200, {"vectors": []}),
         "/embed-shape": lambda req: (200, {"vectors": [["x", "y"] for _ in req["texts"]]}),
         "/embed-missing": lambda req: (200, {"result": "ok"}),
@@ -65,10 +74,14 @@ def stub_server():
     }
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield base
+    yield server
     server.shutdown()
     thread.join(timeout=5)
+
+
+@pytest.fixture(scope="module")
+def stub_server(stub):
+    return f"http://127.0.0.1:{stub.server_address[1]}"
 
 
 def test_embedding_round_trip(stub_server):
@@ -131,6 +144,16 @@ def test_read_timeout_is_a_protocol_error(stub_server):
     client = EmbeddingClient(f"{stub_server}/slow", timeout=0.1)
     with pytest.raises(EndpointProtocolError, match="request failed: timed out"):
         client.embed_texts(["a"])
+
+
+def test_score_embeds_each_shared_group_once(stub, stub_server, cli, desk_dir, monkeypatch):
+    monkeypatch.setenv(EMBED_ENDPOINT_VAR, f"{stub_server}/embed-score")
+    result = cli(*_score_argv(desk_dir), "--json")
+    assert result.code == 0, result.err
+    cosines = json.loads(result.out)["inputs"]["SF"]["group_cosines"]
+    assert len(cosines) == 3
+    # one request per text: the reference's and the model's, once per group
+    assert stub.hits["/embed-score"] == 2 * len(cosines)
 
 
 def test_endpoints_read_from_environment(monkeypatch):
