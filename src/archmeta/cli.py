@@ -283,6 +283,11 @@ def _apply_config_defaults(args: argparse.Namespace, keys: Iterable[str]) -> dic
         value = getattr(args, key, None)
         if value is None and key in config:
             value = config[key]
+            many = key == "expected_patterns"  # the one key that takes a list
+            listed = many and isinstance(value, list) and all(isinstance(v, str) for v in value)
+            if not (value is None or isinstance(value, str) or listed):
+                wanted = "a string or a list of strings" if many else "a path string"
+                raise UsageError(f"--config: {key!r} must be {wanted}")
             setattr(args, key, value)
         effective[key] = value
     return effective

@@ -36,6 +36,7 @@ from ..model import (
     build_metamodel,
     layer_of,
 )
+from .types import DiagramEdge, DiagramElement
 
 SCHEMA_VERSION = "1.0"
 
@@ -249,7 +250,7 @@ def loads_model(text: str, strict: bool = True) -> Metamodel:
                            constraints=constraints, diagrams=diagrams, system=system)
 
 
-def parse_canonical(text: str, strict: bool = True) -> tuple[list[dict], list[dict]]:
+def parse_canonical(text: str, strict: bool = True) -> tuple[list[DiagramElement], list[DiagramEdge]]:
     """Diagram view of a canonical document: entities as elements, relations
     as edges. Element properties carry everything needed for exact lifting."""
     doc = _document(text, strict)
@@ -261,24 +262,16 @@ def parse_canonical(text: str, strict: bool = True) -> tuple[list[dict], list[di
             if end not in ids:
                 raise _fail(f"relation {r.id!r}: declared endpoint (got {end!r})")
     elements = [
-        {
-            "local_id": e.id,
-            "display": e.name,
-            "cls": e.kind.value,
-            "properties": {
-                "layer": e.layer.name,
-                "layer_override": e.layer_override,
-                "description": e.description,
-                "attributes": dict(e.attributes),
-            },
-        }
+        DiagramElement(e.id, e.name, e.kind.value, {
+            "layer": e.layer.name,
+            "layer_override": e.layer_override,
+            "description": e.description,
+            "attributes": dict(e.attributes),
+        })
         for e in entities
     ]
     edges = [
-        {
-            "source": r.source, "target": r.target, "cls": r.kind.value,
-            "label": r.label, "properties": {"id": r.id},
-        }
+        DiagramEdge(r.source, r.target, r.kind.value, r.label, {"id": r.id})
         for r in relations
     ]
     return elements, edges

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from ..errors import DiagramSyntaxError, UnsupportedConstructError
+from .types import DiagramEdge, DiagramElement
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_-]*"
 _COMMENT = re.compile(r"^\s*%%")
@@ -73,7 +74,7 @@ class _Sheet:
     def __init__(self) -> None:
         self.order: list[str] = []
         self.elements: dict[str, dict] = {}
-        self.edges: list[dict] = []
+        self.edges: list[DiagramEdge] = []
 
     def declare(self, local_id: str, display: str, cls: str,
                 columns: list[str] | None = None) -> None:
@@ -93,9 +94,7 @@ class _Sheet:
         self.order.append(local_id)
 
     def edge(self, source: str, target: str, cls: str, label: str) -> None:
-        self.edges.append(
-            {"source": source, "target": target, "cls": cls, "label": label}
-        )
+        self.edges.append(DiagramEdge(source, target, cls, label))
 
 
 def _node_from_match(sheet: _Sheet, m: re.Match) -> str:
@@ -222,7 +221,7 @@ def _parse_state(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def parse_mermaid(text: str) -> tuple[str, list[dict], list[dict]]:
+def parse_mermaid(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdge]]:
     """Parse one Mermaid artifact into (family, elements, edges).
 
     family is one of graph/er/sequence/state. Raises DiagramSyntaxError or
@@ -246,13 +245,9 @@ def parse_mermaid(text: str) -> tuple[str, list[dict], list[dict]]:
             header_line, 1,
             "graph/flowchart, erDiagram, sequenceDiagram, or stateDiagram-v2 header",
         )
-    elements = [
-        {
-            "local_id": local,
-            "display": sheet.elements[local]["display"],
-            "cls": sheet.elements[local]["cls"],
-            "members": tuple(sheet.elements[local]["columns"]),
-        }
-        for local in sheet.order
-    ]
+    elements = []
+    for local in sheet.order:
+        raw = sheet.elements[local]
+        props = {"members": tuple(raw["columns"])} if raw["columns"] else {}
+        elements.append(DiagramElement(local, raw["display"], raw["cls"], props))
     return family, elements, sheet.edges

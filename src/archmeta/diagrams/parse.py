@@ -23,8 +23,6 @@ from .types import (
     ArtifactSet,
     ArtifactStatus,
     Diagram,
-    DiagramEdge,
-    DiagramElement,
     DiagramFormat,
     DiagramType,
     source_digest,
@@ -79,29 +77,6 @@ def _coerce_type(type_hint: DiagramType | str | None) -> DiagramType | None:
     return DiagramType(type_hint)
 
 
-def _as_element(raw: dict) -> DiagramElement:
-    props = raw.get("properties")
-    if props is None:
-        members = raw.get("members") or ()
-        props = {"members": tuple(members)} if members else {}
-    return DiagramElement(
-        local_id=raw["local_id"],
-        display_name=raw["display"],
-        element_class=raw["cls"],
-        properties=props,
-    )
-
-
-def _as_edge(raw: dict) -> DiagramEdge:
-    return DiagramEdge(
-        source=raw["source"],
-        target=raw["target"],
-        edge_class=raw["cls"],
-        label=raw.get("label", ""),
-        properties=raw.get("properties") or {},
-    )
-
-
 def _failure_reason(err: DiagramParseError) -> str:
     if isinstance(err, DiagramSyntaxError):
         return f"syntax: line {err.line}, col {err.col}: expected {err.expected}"
@@ -148,8 +123,8 @@ def parse_diagram(
     return Diagram(
         format=fmt,
         type=hinted if hinted is not None else inferred,
-        elements=tuple(_as_element(e) for e in elements),
-        edges=tuple(_as_edge(e) for e in edges),
+        elements=tuple(elements),
+        edges=tuple(edges),
         source_digest=digest,
     )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 
 from ..errors import DiagramSyntaxError, UnsupportedConstructError
+from .types import DiagramEdge, DiagramElement
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _COMMENT = re.compile(r"^\s*'")
@@ -63,7 +64,7 @@ class _Sheet:
     def __init__(self) -> None:
         self.order: list[str] = []
         self.elements: dict[str, dict] = {}
-        self.edges: list[dict] = []
+        self.edges: list[DiagramEdge] = []
 
     def declare(self, local_id: str, display: str, cls: str, line: int,
                 implicit: bool = False, members: list[str] | None = None) -> None:
@@ -83,9 +84,7 @@ class _Sheet:
         self.order.append(local_id)
 
     def edge(self, source: str, target: str, cls: str, label: str) -> None:
-        self.edges.append(
-            {"source": source, "target": target, "cls": cls, "label": label}
-        )
+        self.edges.append(DiagramEdge(source, target, cls, label))
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -291,23 +290,18 @@ _FAMILY_PARSERS = {
 }
 
 
-def parse_plantuml(text: str) -> tuple[str, list[dict], list[dict]]:
-    """Parse one PlantUML artifact.
+def parse_plantuml(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdge]]:
+    """Parse one PlantUML artifact into (family, elements, edges).
 
-    Returns (family, elements, edges) where elements are dicts with keys
-    local_id/display/cls/members and edges source/target/cls/label.
+    A class's member lines land in its element's properties["members"].
     Raises DiagramSyntaxError or UnsupportedConstructError on any deviation.
     """
     body = _frame(text)
     family = detect_family(text)
     sheet = _FAMILY_PARSERS[family](body)
-    elements = [
-        {
-            "local_id": local,
-            "display": sheet.elements[local]["display"],
-            "cls": sheet.elements[local]["cls"],
-            "members": tuple(sheet.elements[local]["members"]),
-        }
-        for local in sheet.order
-    ]
+    elements = []
+    for local in sheet.order:
+        raw = sheet.elements[local]
+        props = {"members": tuple(raw["members"])} if raw["members"] else {}
+        elements.append(DiagramElement(local, raw["display"], raw["cls"], props))
     return family, elements, sheet.edges

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..constraints import DEFAULT_DIRECTION_GROUPS
 from ..model import AbstractionLayer, EntityKind, Metamodel, RelationKind
 
 LAYERED_MIN_LAYERS = 2
@@ -18,14 +19,12 @@ MICROSERVICES_MIN_CONTAINERS = 2
 FACADE_MIN_CLIENTS = 3
 FACADE_MIN_DELEGATES = 2
 
-_L = AbstractionLayer
+# coarse group ordinal, business innermost: the dependency-direction groups,
+# which list the outermost first
 _GROUP_ORDER = {
-    # coarse group ordinal, business innermost
-    _L.Business: 0, _L.BusinessConceptual: 0, _L.BusinessSystem: 0,
-    _L.System: 1, _L.SystemPattern: 1, _L.SystemStructural: 1,
-    _L.SystemRuntime: 1, _L.Runtime: 1,
-    _L.Implementation: 2, _L.ImplementationBehavioral: 2, _L.Behavioral: 2,
-    _L.Evolutionary: 2,
+    AbstractionLayer[layer]: rank
+    for rank, (_name, layers) in enumerate(reversed(DEFAULT_DIRECTION_GROUPS))
+    for layer in layers
 }
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from ..errors import InvalidRulesError, UnreadableRootError
 from ..model import EntityKind
@@ -177,7 +176,3 @@ def scan_expected(root: str | Path, rules_text: str) -> tuple[ExpectedEntity, ..
             found.append(ExpectedEntity(name=name, kind=rule.kind, origin=where))
     found.sort(key=lambda e: (e.kind.value, e.name))
     return tuple(found)
-
-
-def expected_names(expected: Iterable[ExpectedEntity]) -> tuple[str, ...]:
-    return tuple(e.name for e in expected)

@@ -1,9 +1,10 @@
 """Core typed graph: layers, entity kinds, relations, and the model container.
 
 Every other module consumes these types. A Metamodel is immutable after
-construction; build_metamodel() is the validating constructor and
-validate_well_formed() re-checks all structural invariants on any instance,
-including ones assembled directly in tests.
+construction. One structural walk defines "well formed": validate_well_formed()
+lists everything it finds on any instance, including ones assembled directly
+in tests, and build_metamodel(), the validating constructor, raises the first
+finding that no model may hold.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
+    ArchmetaError,
     ContainmentCycleError,
     DanglingReferenceError,
     DuplicateIdError,
@@ -335,26 +337,16 @@ class Metamodel:
     def _containment_order(self) -> tuple[str, ...]:
         """Every entity and containment endpoint, parents before children.
 
-        Kahn's algorithm over the containment relations. Raises
-        ContainmentCycleError when a cycle leaves nodes unordered, which only
-        a directly assembled model can hold (build_metamodel rejects cycles).
+        Raises ContainmentCycleError on a cycle, which only a directly
+        assembled model can hold: build_metamodel rejects cycles and seeds
+        this order on the models it returns.
         """
-        pending = {child: len(parents) for child, parents in self.containment_parents.items()}
-        children: dict[str, list[str]] = {}
-        for child, parents in self.containment_parents.items():
-            for parent in parents:
-                children.setdefault(parent, []).append(child)
-        nodes = dict.fromkeys([*self.entity_index, *children])
-        order = [node for node in nodes if node not in pending]
-        for node in order:  # grows while it is walked
-            for child in children.get(node, ()):
-                pending[child] -= 1
-                if not pending[child]:
-                    order.append(child)
-        stuck = sorted(child for child, count in pending.items() if count)
-        if stuck:
-            raise ContainmentCycleError("containment cycle through " + ", ".join(stuck))
-        return tuple(order)
+        cycle, order = _containment_walk(
+            self.entity_index, self.relations_by_kind[RelationKind.containment]
+        )
+        if cycle is not None:
+            raise ContainmentCycleError(cycle.message)
+        return order
 
     @cached_property
     def _ancestor_tables(self) -> dict[EntityKind, dict[str, str | None]]:
@@ -419,6 +411,128 @@ def _trace_validity(link: TraceLink, index: Mapping[str, Entity]) -> str:
     )
 
 
+def _containment_walk(
+    entity_ids: Iterable[str], containment: Iterable[Relation]
+) -> tuple[Finding | None, tuple[str, ...]]:
+    """One iterative depth-first pass over containment (parent ⊃ child).
+
+    Roots and each node's children are visited in sorted order. Returns the
+    first cycle met as a containment-cycle finding with an empty order, or
+    None and every entity and containment endpoint with parents before
+    children: entities outside containment, then the reverse postorder.
+    """
+    children: dict[str, list[str]] = {}
+    for r in containment:
+        children.setdefault(r.source, []).append(r.target)
+    for outs in children.values():
+        outs.sort()
+
+    ON_PATH, DONE = 1, 2
+    state: dict[str, int] = {}
+    postorder: list[str] = []
+    for root in sorted(children):
+        if root in state:
+            continue
+        state[root] = ON_PATH
+        path = [root]
+        stack = [iter(children[root])]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+                node = path.pop()
+                state[node] = DONE
+                postorder.append(node)
+            elif child not in state:
+                state[child] = ON_PATH
+                path.append(child)
+                stack.append(iter(children.get(child, ())))
+            elif state[child] == ON_PATH:
+                cycle = " -> ".join([*path[path.index(child):], child])
+                return Finding("containment-cycle", child, "containment cycle: " + cycle), ()
+    outside = [node for node in entity_ids if node not in state]
+    return None, (*outside, *reversed(postorder))
+
+
+def _walk(
+    entities: tuple[Entity, ...],
+    relations: tuple[Relation, ...],
+    traces: tuple[TraceLink, ...],
+) -> tuple[list[Finding], dict[str, Entity], tuple[TraceLink, ...], tuple[str, ...]]:
+    """Check every structural rule in one pass over the records.
+
+    Returns (findings, index, traces, order):
+    - findings in rule order: duplicate ids, relation endpoints, trace
+      endpoints and mapping classes, layer overrides, then the first
+      containment cycle;
+    - index maps each id to its entity (the last one when an id repeats);
+    - traces carry the validity computed from their endpoint kinds, or stay
+      as given when an endpoint is not an entity;
+    - order is the containment order, empty when there is a cycle.
+    """
+    findings: list[Finding] = []
+    index: dict[str, Entity] = {}
+    for e in entities:
+        if e.id in index:
+            findings.append(Finding("duplicate-id", e.id, f"duplicate entity id: {e.id}"))
+        index[e.id] = e
+
+    rel_ids: set[str] = set()
+    containment: list[Relation] = []
+    for r in relations:
+        if r.id in rel_ids:
+            findings.append(Finding("duplicate-id", r.id, f"duplicate relation id: {r.id}"))
+        rel_ids.add(r.id)
+        for end, which in ((r.source, "source"), (r.target, "target")):
+            if end not in index:
+                findings.append(Finding(
+                    "dangling-reference", r.id, f"relation {r.id}: {which} {end!r} is not an entity"
+                ))
+        if r.kind is RelationKind.containment:
+            containment.append(r)
+
+    checked: list[TraceLink] = []
+    for t in traces:
+        missing = [end for end in (t.source, t.target) if end not in index]
+        for end in missing:
+            findings.append(Finding(
+                "dangling-reference", end,
+                f"trace {t.source}->{t.target}: endpoint {end!r} is not an entity",
+            ))
+        if missing:
+            checked.append(t)
+            continue
+        validity = _trace_validity(t, index)
+        checked.append(TraceLink(t.source, t.target, t.mapping_class, validity))
+        if validity != "valid":
+            findings.append(Finding(
+                "invalid-mapping-class", t.source,
+                f"trace {t.source}->{t.target}: {validity.removeprefix('invalid:')}",
+            ))
+
+    for e in entities:
+        home = DEFAULT_LAYER[e.kind]
+        if e.layer != home and not e.layer_override:
+            findings.append(Finding(
+                "layer-override-missing", e.id,
+                f"{e.id} has layer {e.layer.name} but kind {e.kind.value} "
+                f"defaults to {home.name} and no override flag",
+            ))
+
+    cycle, order = _containment_walk(index, containment)
+    if cycle is not None:
+        findings.append(cycle)
+    return findings, index, tuple(checked), order
+
+
+# The rules no built model may break, and the error build_metamodel raises.
+_FATAL: dict[str, type[ArchmetaError]] = {
+    "duplicate-id": DuplicateIdError,
+    "dangling-reference": DanglingReferenceError,
+    "containment-cycle": ContainmentCycleError,
+}
+
+
 def build_metamodel(
     entities: Iterable[Entity],
     relations: Iterable[Relation] = (),
@@ -429,91 +543,29 @@ def build_metamodel(
 ) -> Metamodel:
     """Validating constructor.
 
-    Raises DuplicateIdError, DanglingReferenceError, or ContainmentCycleError;
+    Raises the first duplicate-id, dangling-reference or containment-cycle
+    finding of validate_well_formed's walk as DuplicateIdError,
+    DanglingReferenceError or ContainmentCycleError, with the same message;
     recomputes every trace link's validity from the endpoint kinds.
     """
     ents = tuple(entities)
     rels = tuple(relations)
-    trcs = tuple(traces)
-
-    index: dict[str, Entity] = {}
-    for e in ents:
-        if e.id in index:
-            raise DuplicateIdError(f"duplicate entity id: {e.id}")
-        index[e.id] = e
-
-    rel_ids: set[str] = set()
-    for r in rels:
-        if r.id in rel_ids:
-            raise DuplicateIdError(f"duplicate relation id: {r.id}")
-        rel_ids.add(r.id)
-        for end, label in ((r.source, "source"), (r.target, "target")):
-            if end not in index:
-                raise DanglingReferenceError(
-                    f"relation {r.id}: {label} {end!r} is not an entity"
-                )
-
-    for t in trcs:
-        for end in (t.source, t.target):
-            if end not in index:
-                raise DanglingReferenceError(
-                    f"trace {t.source}->{t.target}: endpoint {end!r} is not an entity"
-                )
-
-    cycle = _containment_cycle(ents, rels)
-    if cycle:
-        raise ContainmentCycleError("containment cycle: " + " -> ".join(cycle))
-
-    normalized_traces = tuple(
-        TraceLink(t.source, t.target, t.mapping_class, _trace_validity(t, index))
-        for t in trcs
-    )
-    return Metamodel(
+    findings, index, checked, order = _walk(ents, rels, tuple(traces))
+    for finding in findings:
+        error = _FATAL.get(finding.rule)
+        if error is not None:
+            raise error(finding.message)
+    model = Metamodel(
         system=system,
         entities=ents,
         relations=rels,
-        traces=normalized_traces,
+        traces=checked,
         constraints=tuple(constraints),
         diagrams=tuple(diagrams),
     )
-
-
-def _containment_cycle(
-    entities: tuple[Entity, ...], relations: tuple[Relation, ...]
-) -> list[str] | None:
-    """First containment cycle as an id path, or None. Iterative DFS."""
-    children: dict[str, list[str]] = {}
-    for r in relations:
-        if r.kind is RelationKind.containment:
-            children.setdefault(r.source, []).append(r.target)
-    for outs in children.values():
-        outs.sort()
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {e.id: WHITE for e in entities}
-    for root in sorted(children):
-        if color.get(root, BLACK) != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path = [root]
-        color[root] = GREY
-        while stack:
-            node, i = stack[-1]
-            outs = children.get(node, [])
-            if i < len(outs):
-                stack[-1] = (node, i + 1)
-                nxt = outs[i]
-                if color.get(nxt, BLACK) == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if color.get(nxt, BLACK) == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
+    # what the two cached properties would compute, so no later walk repeats it
+    vars(model).update(entity_index=index, _containment_order=order)
+    return model
 
 
 def validate_well_formed(model: Metamodel) -> list[Finding]:
@@ -523,70 +575,7 @@ def validate_well_formed(model: Metamodel) -> list[Finding]:
     traces), containment cycle freedom, layer-vs-default agreement (unless the
     override flag is set), and trace mapping-class endpoint kinds.
     """
-    findings: list[Finding] = []
-    seen: dict[str, Entity] = {}
-    for e in model.entities:
-        if e.id in seen:
-            findings.append(Finding("duplicate-id", e.id, f"entity id {e.id!r} repeats"))
-        seen[e.id] = e
-
-    rel_seen: set[str] = set()
-    for r in model.relations:
-        if r.id in rel_seen:
-            findings.append(Finding("duplicate-id", r.id, f"relation id {r.id!r} repeats"))
-        rel_seen.add(r.id)
-        for end, which in ((r.source, "source"), (r.target, "target")):
-            if end not in seen:
-                findings.append(
-                    Finding(
-                        "dangling-reference",
-                        r.id,
-                        f"relation {r.id} {which} {end!r} is not an entity",
-                    )
-                )
-
-    for t in model.traces:
-        missing = [x for x in (t.source, t.target) if x not in seen]
-        for end in missing:
-            findings.append(
-                Finding(
-                    "dangling-reference",
-                    end,
-                    f"trace {t.source}->{t.target} endpoint {end!r} is not an entity",
-                )
-            )
-        if not missing:
-            verdict = _trace_validity(t, seen)
-            if verdict != "valid":
-                findings.append(
-                    Finding(
-                        "invalid-mapping-class",
-                        t.source,
-                        f"trace {t.source}->{t.target}: {verdict.removeprefix('invalid:')}",
-                    )
-                )
-
-    for e in model.entities:
-        if e.layer != layer_of(e.kind) and not e.layer_override:
-            findings.append(
-                Finding(
-                    "layer-override-missing",
-                    e.id,
-                    f"{e.id} has layer {e.layer.name} but kind {e.kind.value} "
-                    f"defaults to {layer_of(e.kind).name} and no override flag",
-                )
-            )
-
-    cycle = _containment_cycle(model.entities, model.relations)
-    if cycle:
-        findings.append(
-            Finding(
-                "containment-cycle",
-                cycle[0],
-                "containment cycle: " + " -> ".join(cycle),
-            )
-        )
-    return findings
+    return _walk(model.entities, model.relations, model.traces)[0]
 
 
 def dependency_graph(

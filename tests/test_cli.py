@@ -511,6 +511,25 @@ def test_malformed_input_file_is_a_usage_error(case, desk_dir, tmp_path):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("key, value, wanted", [
+    *((key, 5, "a path string") for key in ("model", "reference", "baseline", "codebase",
+                                              "rules", "artifacts", "constraints")),
+    ("aliases", ["x"], "a path string"),
+    ("expected_patterns", 7, "a string or a list of strings"),
+    ("expected_patterns", ["cqrs", 1], "a string or a list of strings"),
+])
+def test_score_config_value_of_wrong_type_is_a_usage_error(key, value, wanted, desk_dir, tmp_path):
+    argv = _score_argv(desk_dir, "b")
+    config = {flag.lstrip("-"): path for flag, path in zip(argv[1::2], argv[2::2])}
+    config[key] = value  # every other input is valid, so only the bad value can fail
+    cfg = tmp_path / "score.json"
+    cfg.write_text(json.dumps(config))
+    proc = _run_python("-m", "archmeta.cli", "score", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: --config: {key!r} must be {wanted}\n"
+
+
 def test_cli_import_leaves_http_client_unloaded():
     proc = _run_python("-c", "import sys, archmeta.cli; print('urllib.request' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,10 @@ from archmeta.diagrams import (
     detect_format,
     parse_diagram,
 )
+from archmeta.diagrams.canonical import parse_canonical
+from archmeta.diagrams.mermaid import parse_mermaid
 from archmeta.diagrams.plantuml import parse_plantuml
+from archmeta.diagrams.types import DiagramEdge, DiagramElement
 from archmeta.errors import DiagramSyntaxError, UnsupportedConstructError
 
 
@@ -133,6 +136,33 @@ def test_parse_plantuml_raises_directly():
     with pytest.raises(DiagramSyntaxError) as err:
         parse_plantuml("@startuml\n???\n@enduml\n")
     assert err.value.line == 2
+
+
+def test_each_parser_emits_typed_records():
+    assert parse_plantuml("@startuml\nclass A {\n  +x: int\n}\nA --> B : uses\n@enduml\n") == (
+        "class",
+        [DiagramElement("A", "A", "class", {"members": ("+x: int",)}),
+         DiagramElement("B", "B", "class")],
+        [DiagramEdge("A", "B", "association", "uses")],
+    )
+    assert parse_mermaid("erDiagram\nORDER {\n  string id\n}\nORDER ||--o{ LINE : has\n") == (
+        "er",
+        [DiagramElement("ORDER", "ORDER", "er_entity", {"members": ("id (string)",)}),
+         DiagramElement("LINE", "LINE", "er_entity")],
+        [DiagramEdge("ORDER", "LINE", "relationship", "has")],
+    )
+    canonical = (
+        '{"schema_version": "1.0", "entities": ['
+        '{"id": "a", "kind": "Container", "name": "A"}, {"id": "b", "kind": "Component", "name": "B"}],'
+        ' "relations": [{"id": "r", "source": "a", "target": "b", "kind": "containment"}]}'
+    )
+    assert parse_canonical(canonical) == (
+        [DiagramElement("a", "A", "Container", {"layer": "System", "layer_override": False,
+                                                "description": "", "attributes": {}}),
+         DiagramElement("b", "B", "Component", {"layer": "System", "layer_override": False,
+                                                "description": "", "attributes": {}})],
+        [DiagramEdge("a", "b", "containment", "", {"id": "r"})],
+    )
 
 
 # ---------------------------------------------------------------- mermaid
