@@ -13,44 +13,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from .constraints import (
-    constraints_from_json,
-    consistency_score,
-    evaluate_constraints,
-    load_preset_constraints,
-    violation_counts,
-)
-from .diagrams.canonical import dumps_model, loads_model
-from .diagrams.parse import check_parsability, parse_diagram
-from .diagrams.lifting import lift_to_metamodel
-from .diagrams.types import DiagramFormat, DiagramType
 from .errors import ArchmetaError
-from .extract.matching import load_aliases, match_expected
-from .extract.patterns import detect_patterns, detected_names
-from .extract.scan import scan_expected
-from .metrics.delta import graph_delta, model_delta, named_dependency_graph
-from .metrics.embedding import lexical_embed
-from .metrics.scores import (
-    METRIC_KEYS,
-    METRIC_LABELS,
-    completeness,
-    completeness_ratio,
-    constraint_effectiveness,
-    document_groups,
-    group_cosines,
-    machine_readability,
-    mean_cosine,
-    pattern_coverage,
-    score_report,
-)
-from .model import Metamodel
-from .prompts.context import render_context_block, select_diagram_set
-from .prompts.templates import assemble_prompt, prompt_filename
-from .traces import matrix_to_tsv, trace_matrix, traceability_coverage
+
+if TYPE_CHECKING:
+    from .model import Metamodel
 
 
 class UsageError(ArchmetaError):
@@ -58,6 +27,8 @@ class UsageError(ArchmetaError):
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
+    import tempfile
+
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
@@ -106,6 +77,8 @@ def _require_dir(path: str, flag: str) -> Path:
 
 
 def _load_model(path: str, flag: str) -> Metamodel:
+    from .diagrams.canonical import loads_model
+
     return loads_model(_read_text(path, flag))
 
 
@@ -124,6 +97,8 @@ def _emit(args: argparse.Namespace, human: str, payload: Mapping[str, Any]) -> N
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    from .diagrams.parse import check_parsability
+
     pairs = [(Path(p).name, _read_text(p, "input", errors="replace")) for p in args.inputs]
     formats = [args.format] * len(pairs) if args.format else None
     audit = check_parsability(pairs, formats)
@@ -156,6 +131,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
+    from .diagrams.canonical import dumps_model
+    from .diagrams.lifting import lift_to_metamodel
+    from .diagrams.parse import parse_diagram
+
     named = []
     for p in map(Path, args.inputs):
         diagram = parse_diagram(
@@ -183,6 +162,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _constraints_for(args: argparse.Namespace, model: Metamodel):
+    from .constraints import constraints_from_json, load_preset_constraints
+
     if getattr(args, "constraints", None):
         return constraints_from_json(_read_text(args.constraints, "--constraints"))
     if model.constraints:
@@ -191,6 +172,8 @@ def _constraints_for(args: argparse.Namespace, model: Metamodel):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .constraints import consistency_score, evaluate_constraints, violation_counts
+
     model = _load_model(args.model, "--model")
     constraints = _constraints_for(args, model)
     results = evaluate_constraints(model, constraints)
@@ -228,6 +211,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .traces import matrix_to_tsv, trace_matrix, traceability_coverage
+
     model = _load_model(args.model, "--model")
     report = traceability_coverage(model)
     rows = trace_matrix(model)
@@ -294,6 +279,26 @@ def _apply_config_defaults(args: argparse.Namespace, keys: Iterable[str]) -> dic
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .constraints import consistency_score, evaluate_constraints, violation_counts
+    from .diagrams.parse import check_parsability
+    from .extract.matching import load_aliases, match_expected
+    from .extract.patterns import detected_names
+    from .extract.scan import scan_expected
+    from .metrics.delta import graph_delta, named_dependency_graph
+    from .metrics.embedding import lexical_embed
+    from .metrics.scores import (
+        completeness,
+        completeness_ratio,
+        constraint_effectiveness,
+        document_groups,
+        group_cosines,
+        machine_readability,
+        mean_cosine,
+        pattern_coverage,
+        score_report,
+    )
+    from .traces import traceability_coverage
+
     keys = (
         "model", "reference", "baseline", "codebase", "rules",
         "artifacts", "aliases", "constraints", "expected_patterns",
@@ -419,6 +424,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .metrics.delta import model_delta
+
     before = _load_model(args.before, "--before")
     after = _load_model(args.after, "--after")
     delta = model_delta(before, after)
@@ -451,6 +458,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .extract.scan import scan_expected
+
     root = _require_dir(args.root, "--root")
     rules_text = _read_text(args.rules, "--rules")
     expected = scan_expected(root, rules_text)
@@ -461,6 +470,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "count": len(expected),
     }
     if args.model:
+        from .extract.matching import load_aliases, match_expected
+        from .extract.patterns import detect_patterns
+
         model = _load_model(args.model, "--model")
         aliases = (
             load_aliases(_read_text(args.aliases, "--aliases"))
@@ -494,12 +506,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_assemble(args: argparse.Namespace) -> int:
+    from .prompts.templates import assemble_prompt, prompt_filename
+
     inputs: dict[str, str] = {}
     context_text: str | None = None
     needs_context = any(spec.split("=", 1)[1] == "@context" for spec in args.slot if "=" in spec)
     if needs_context:
         if not args.context_model or not args.purpose:
             raise UsageError("@context slots require --context-model and --purpose")
+        from .prompts.context import render_context_block, select_diagram_set
+
         model = _load_model(args.context_model, "--context-model")
         types = select_diagram_set(model, args.purpose)
         context_text = render_context_block(model, types).to_text()
@@ -529,6 +545,8 @@ def cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _load_fragment(path: str) -> dict[str, Any]:
+    from .metrics.scores import METRIC_KEYS
+
     doc = _read_json(path, "report input")
     metrics = doc.get("metrics") if isinstance(doc, dict) else None
     if not isinstance(metrics, dict):
@@ -544,6 +562,8 @@ def _load_fragment(path: str) -> dict[str, Any]:
 
 
 def _mean_by_metric(fragments: list[dict[str, Any]], field: str) -> dict[str, float]:
+    from .metrics.scores import METRIC_KEYS
+
     out: dict[str, float] = {}
     for key in METRIC_KEYS:
         values = [f["metrics"][key][field] for f in fragments]
@@ -552,6 +572,8 @@ def _mean_by_metric(fragments: list[dict[str, Any]], field: str) -> dict[str, fl
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .metrics.scores import METRIC_KEYS, METRIC_LABELS
+
     side_a = [_load_fragment(p) for p in args.a]
     side_b = [_load_fragment(p) for p in args.b]
     a_raw = _mean_by_metric(side_a, "raw")
@@ -596,6 +618,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. Each parsed namespace carries the
+    subcommand's name as `command`; `main` runs the module's `cmd_<command>`."""
+    from .diagrams.types import DiagramFormat, DiagramType
+
     parser = argparse.ArgumentParser(
         prog="archmeta",
         description="Architecture metamodel toolkit: lift diagrams, validate, trace, and score.",
@@ -609,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--format", choices=format_values)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("lift", help="parse diagrams and lift them into one canonical model")
     p.add_argument("inputs", nargs="+")
@@ -618,14 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("validate", help="evaluate architectural constraints against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--constraints", help="JSON constraint catalog (default: model's own, else preset)")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("trace", help="traceability coverage and matrix")
     p.add_argument("--model", required=True)
@@ -634,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when coverage falls below this value")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("score", help="compute all seven quality metrics")
     p.add_argument("--model", help="model under evaluation (canonical JSON)")
@@ -651,14 +673,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the canonical report fragment here")
     p.add_argument("--markdown", help="write the Markdown table here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("diff", help="named dependency-graph delta between two models")
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("extract", help="scan a codebase for expected entities (and match a model)")
     p.add_argument("--root", required=True)
@@ -667,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("assemble", help="render a transformation prompt from a template")
     p.add_argument("--process", required=True, choices=["A", "B", "a", "b"])
@@ -678,7 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--purpose")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("report", help="compare metric reports from two workflows")
     p.add_argument("--a", nargs="+", required=True, help="report fragments for side A")
@@ -686,19 +704,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--markdown")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    if args.command is None:
+        _parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* (a wrapper, a test double) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ArchmetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

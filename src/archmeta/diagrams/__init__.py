@@ -1,59 +1,26 @@
-"""Diagram parsing, lifting, and rendering."""
+"""Diagram parsing, lifting, and rendering.
 
-from .canonical import SCHEMA_VERSION, dumps_model, loads_model
-from .lifting import (
-    ModelFragment,
-    combine_fragments,
-    lift_diagram,
-    lift_to_metamodel,
-    load_lifting_table,
-)
-from .parse import check_parsability, detect_format, parse_diagram
-from .render import (
-    render_diagram_view,
-    serialize_metamodel,
-    view_entity_kinds,
-    view_format,
-    view_notation,
-)
-from .types import (
-    PRIMARY_LAYER,
-    ArtifactSet,
-    ArtifactStatus,
-    Diagram,
-    DiagramEdge,
-    DiagramElement,
-    DiagramFormat,
-    DiagramType,
-    primary_layer,
-    source_digest,
-)
+Public names load their home module on first access (PEP 562).
+"""
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "dumps_model",
-    "loads_model",
-    "ModelFragment",
-    "combine_fragments",
-    "lift_diagram",
-    "lift_to_metamodel",
-    "load_lifting_table",
-    "check_parsability",
-    "detect_format",
-    "parse_diagram",
-    "render_diagram_view",
-    "serialize_metamodel",
-    "view_entity_kinds",
-    "view_format",
-    "view_notation",
-    "PRIMARY_LAYER",
-    "ArtifactSet",
-    "ArtifactStatus",
-    "Diagram",
-    "DiagramEdge",
-    "DiagramElement",
-    "DiagramFormat",
-    "DiagramType",
-    "primary_layer",
-    "source_digest",
-]
+from .. import _lazy_exports
+
+# home module -> public names
+_HOMES = {
+    ".canonical": ("SCHEMA_VERSION", "dumps_model", "loads_model"),
+    ".lifting": (
+        "ModelFragment", "combine_fragments", "lift_diagram", "lift_to_metamodel",
+        "load_lifting_table",
+    ),
+    ".parse": ("check_parsability", "detect_format", "parse_diagram"),
+    ".render": (
+        "render_diagram_view", "serialize_metamodel", "view_entity_kinds", "view_format",
+        "view_notation",
+    ),
+    ".types": (
+        "PRIMARY_LAYER", "ArtifactSet", "ArtifactStatus", "Diagram", "DiagramEdge",
+        "DiagramElement", "DiagramFormat", "DiagramType", "primary_layer", "source_digest",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _HOMES)

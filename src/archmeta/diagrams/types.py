@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -126,4 +125,6 @@ class ArtifactSet:
 
 def source_digest(text: str) -> str:
     """sha256 over the exact utf-8 bytes of the artifact text."""
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

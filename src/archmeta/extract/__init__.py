@@ -1,34 +1,18 @@
-"""Codebase scanning, name matching, and pattern detection."""
+"""Codebase scanning, name matching, and pattern detection.
 
-from .matching import (
-    Match,
-    MatchReport,
-    load_aliases,
-    match_expected,
-    match_names,
-    normalize_name,
-)
-from .patterns import (
-    PATTERN_NAMES,
-    PatternHit,
-    detect_patterns,
-    detected_names,
-)
-from .scan import ExpectedEntity, ScanRule, load_rules, scan_expected
+Public names load their home module on first access (PEP 562).
+"""
 
-__all__ = [
-    "Match",
-    "MatchReport",
-    "load_aliases",
-    "match_expected",
-    "match_names",
-    "normalize_name",
-    "PATTERN_NAMES",
-    "PatternHit",
-    "detect_patterns",
-    "detected_names",
-    "ExpectedEntity",
-    "ScanRule",
-    "load_rules",
-    "scan_expected",
-]
+from .. import _lazy_exports
+
+# home module -> public names
+_HOMES = {
+    ".matching": (
+        "Match", "MatchReport", "load_aliases", "match_expected", "match_names",
+        "normalize_name",
+    ),
+    ".patterns": ("PATTERN_NAMES", "PatternHit", "detect_patterns", "detected_names"),
+    ".scan": ("ExpectedEntity", "ScanRule", "load_rules", "scan_expected"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _HOMES)

@@ -7,7 +7,9 @@ significant line reads
 
 where pattern is either a glob relative to the root (a trailing slash matches
 directories instead of files) or "<file>.json#<key>" naming one key of a JSON
-manifest. A dict value contributes its keys, a list its string items.
+manifest. A dict value contributes its keys, a list its string items. A path
+must stay under the root: no leading "/", no ".." component, and "**" only as
+a whole component.
 Defaults for name-from: key for manifest rules, dirname for directory globs,
 filename (text before the first dot) for file globs.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from ..errors import InvalidRulesError, UnreadableRootError
 from ..model import EntityKind
@@ -45,6 +47,19 @@ class ExpectedEntity:
     name: str
     kind: EntityKind
     origin: str
+
+
+def _check_path(lineno: int, pattern: str) -> None:
+    """Reject a rule path that leaves the root or that pathlib cannot glob."""
+    if pattern.startswith("/"):
+        raise InvalidRulesError(lineno, f"pattern must be relative to the root: {pattern!r}")
+    parts = PurePosixPath(pattern).parts
+    if not parts:
+        raise InvalidRulesError(lineno, f"pattern names no path: {pattern!r}")
+    if ".." in parts:
+        raise InvalidRulesError(lineno, f"pattern must stay under the root (no '..'): {pattern!r}")
+    if any("**" in part and part != "**" for part in parts):
+        raise InvalidRulesError(lineno, f"'**' must be a whole path component: {pattern!r}")
 
 
 def load_rules(text: str) -> tuple[ScanRule, ...]:
@@ -86,11 +101,13 @@ def load_rules(text: str) -> tuple[ScanRule, ...]:
             file_part, _, manifest_key = pattern.partition("#")
             if not file_part.endswith(".json") or not manifest_key:
                 raise InvalidRulesError(lineno, "manifest pattern must be '<file>.json#<key>'")
+            _check_path(lineno, file_part)
             if name_from is None:
                 name_from = "key"
             elif name_from != "key":
                 raise InvalidRulesError(lineno, "manifest rules only support name-from: key")
         else:
+            _check_path(lineno, pattern)
             if name_from == "key":
                 raise InvalidRulesError(lineno, "name-from: key needs a manifest pattern")
             if name_from is None:
@@ -114,8 +131,10 @@ def _manifest_names(root: Path, rule: ScanRule) -> list[tuple[str, str]]:
         return []
     try:
         data = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: not UTF-8 or not JSON
         raise InvalidRulesError(rule.line, f"manifest {file_part} not parseable: {err}") from None
+    if not isinstance(data, dict):
+        raise InvalidRulesError(rule.line, f"manifest {file_part} must hold a JSON object")
     value = data.get(rule.manifest_key)
     if value is None:
         return []

@@ -458,16 +458,16 @@ def _walk(
     entities: tuple[Entity, ...],
     relations: tuple[Relation, ...],
     traces: tuple[TraceLink, ...],
-) -> tuple[list[Finding], dict[str, Entity], tuple[TraceLink, ...], tuple[str, ...]]:
+) -> tuple[list[Finding], dict[str, Entity], list[str | None], tuple[str, ...]]:
     """Check every structural rule in one pass over the records.
 
-    Returns (findings, index, traces, order):
+    Returns (findings, index, validities, order):
     - findings in rule order: duplicate ids, relation endpoints, trace
       endpoints and mapping classes, layer overrides, then the first
       containment cycle;
     - index maps each id to its entity (the last one when an id repeats);
-    - traces carry the validity computed from their endpoint kinds, or stay
-      as given when an endpoint is not an entity;
+    - validities holds, per trace, the validity computed from its endpoint
+      kinds, or None when an endpoint is not an entity;
     - order is the containment order, empty when there is a cycle.
     """
     findings: list[Finding] = []
@@ -491,7 +491,7 @@ def _walk(
         if r.kind is RelationKind.containment:
             containment.append(r)
 
-    checked: list[TraceLink] = []
+    validities: list[str | None] = []
     for t in traces:
         missing = [end for end in (t.source, t.target) if end not in index]
         for end in missing:
@@ -500,10 +500,10 @@ def _walk(
                 f"trace {t.source}->{t.target}: endpoint {end!r} is not an entity",
             ))
         if missing:
-            checked.append(t)
+            validities.append(None)
             continue
         validity = _trace_validity(t, index)
-        checked.append(TraceLink(t.source, t.target, t.mapping_class, validity))
+        validities.append(validity)
         if validity != "valid":
             findings.append(Finding(
                 "invalid-mapping-class", t.source,
@@ -522,7 +522,7 @@ def _walk(
     cycle, order = _containment_walk(index, containment)
     if cycle is not None:
         findings.append(cycle)
-    return findings, index, tuple(checked), order
+    return findings, index, validities, order
 
 
 # The rules no built model may break, and the error build_metamodel raises.
@@ -550,7 +550,8 @@ def build_metamodel(
     """
     ents = tuple(entities)
     rels = tuple(relations)
-    findings, index, checked, order = _walk(ents, rels, tuple(traces))
+    trs = tuple(traces)
+    findings, index, validities, order = _walk(ents, rels, trs)
     for finding in findings:
         error = _FATAL.get(finding.rule)
         if error is not None:
@@ -559,7 +560,10 @@ def build_metamodel(
         system=system,
         entities=ents,
         relations=rels,
-        traces=checked,
+        # every trace endpoint resolved (a dangling one raised above), so each has a validity
+        traces=tuple(
+            TraceLink(t.source, t.target, t.mapping_class, v) for t, v in zip(trs, validities)
+        ),
         constraints=tuple(constraints),
         diagrams=tuple(diagrams),
     )

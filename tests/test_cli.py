@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -366,6 +367,52 @@ def test_extract_matches_model_and_detects_patterns(cli, desk_dir):
     ]
 
 
+# rules lines pathlib cannot glob, or that reach outside --root
+_BAD_RULE_PATHS = [
+    ("services/**x/ -> Component", "'**' must be a whole path component: 'services/**x/'"),
+    ("/abs/*.py -> Component", "pattern must be relative to the root: '/abs/*.py'"),
+    ("/ -> Component", "pattern must be relative to the root: '/'"),
+    ("../* -> Component", "pattern must stay under the root (no '..'): '../*'"),
+    (". -> Component", "pattern names no path: '.'"),
+    ("../up.json#k -> Component", "pattern must stay under the root (no '..'): '../up.json'"),
+    ("/abs.json#k -> Component", "pattern must be relative to the root: '/abs.json'"),
+]
+
+
+@pytest.mark.parametrize("command", ["extract", "score"])
+@pytest.mark.parametrize("line, message", _BAD_RULE_PATHS)
+def test_unglobbable_or_escaping_rules_path_is_a_usage_error(command, line, message, desk_dir,
+                                                               tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(f"version 1\nservices/*/ -> Component\n{line}\n")
+    if command == "extract":
+        argv = ["extract", "--root", str(desk_dir / "codebase"), "--rules", str(rules)]
+    else:
+        argv = _score_argv(desk_dir)
+        argv[argv.index("--rules") + 1] = str(rules)
+    proc = _run_python("-m", "archmeta.cli", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: rules line 3: {message}\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "manifest m.json must hold a JSON object"),
+    (b'"text"', "manifest m.json must hold a JSON object"),
+    (b"\xff\xfe{}", "manifest m.json not parseable: 'utf-8' codec can't decode"),
+])
+def test_extract_manifest_that_is_not_a_json_object_is_a_usage_error(content, message, tmp_path):
+    (tmp_path / "m.json").write_bytes(content)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("version 1\nm.json#k -> Component\n")
+    proc = _run_python("-m", "archmeta.cli", "extract", "--root", str(tmp_path),
+                       "--rules", str(rules))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: rules line 2: {message}")
+
+
 # ---------------------------------------------------------------- assemble
 
 
@@ -534,6 +581,77 @@ def test_cli_import_leaves_http_client_unloaded():
     proc = _run_python("-c", "import sys, archmeta.cli; print('urllib.request' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The archmeta modules a fresh interpreter holds after running code."""
+    proc = _run_python("-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
+                       "m for m in sys.modules if m.startswith('archmeta'))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_command_module():
+    assert _loaded_after("import archmeta.cli") == ["archmeta", "archmeta.cli", "archmeta.errors"]
+
+
+def test_validate_imports_only_what_it_runs(desk_dir):
+    model = str(desk_dir / "process_b.archmeta.json")
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from archmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['validate', '--model', {model!r}]) == 1\n"
+    )
+    assert "archmeta.constraints" in loaded
+    for unused in ("archmeta.diagrams.render", "archmeta.prompts", "archmeta.extract",
+                   "archmeta.metrics", "archmeta.remote"):
+        assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(cli, desk_dir, tmp_path):
+    """In-process calls, interleaved so each could inherit state from the one
+    before, match a fresh process running each alone: stdout, stderr, exit code
+    and the files written."""
+    slot = tmp_path / "td.txt"
+    slot.write_text("the technical documentation body")
+    config = tmp_path / "score.json"
+    argv = _score_argv(desk_dir)
+    config.write_text(json.dumps({k.lstrip("-"): v for k, v in zip(argv[1::2], argv[2::2])}))
+    model = str(desk_dir / "process_b.archmeta.json")
+    out = tmp_path / "out"
+    calls = [
+        ["assemble", "--process", "A", "--stage", "td-to-bd", "--slot", f"td={slot}",
+         "--output", str(out / "with-slot.txt")],
+        ["assemble", "--process", "A", "--stage", "td-to-bd",
+         "--output", str(out / "no-slot.txt")],
+        ["validate", "--model", model, "--json"],
+        ["validate", "--model", model],
+        ["score", "--config", str(config), "--json", "--output", str(out / "score.json")],
+        ["score", "--model", model],  # nothing from the config before may fill the rest
+        ["score", "--config", str(config), "--model", str(desk_dir / "process_a.archmeta.json")],
+        [*argv, "--markdown", str(out / "score.md")],
+        ["score", "--config", str(config)],
+        ["assemble", "--process", "A", "--stage", "td-to-bd", "--json",
+         "--output", str(out / "no-slot-again.txt")],
+        ["trace", "--model", model, "--json", "--threshold", "0.99"],
+        ["trace", "--model", model],
+    ]
+
+    def written() -> dict[str, str]:
+        files = {p.name: p.read_text("utf-8") for p in sorted(out.glob("*"))}
+        shutil.rmtree(out, ignore_errors=True)
+        return files
+
+    in_process = [cli(*call) for call in calls]
+    in_process_files = written()
+    for call, got in zip(calls, in_process):
+        fresh = _run_python("-m", "archmeta.cli", *call)
+        want = (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert (got.code, got.out, got.err) == want, call
+    assert in_process_files == written()
+    assert in_process[1].code == 2 and in_process[0].code == 0  # the slot did not carry over
+    assert in_process[5].code == 2 and "missing required inputs" in in_process[5].err
 
 
 def test_score_uses_the_configured_embedding_endpoint(cli, desk_dir, monkeypatch):

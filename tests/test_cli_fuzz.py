@@ -1,10 +1,13 @@
-"""The exit-code contract under malformed model files, fuzzed in process.
+"""The exit-code contract under malformed input files, fuzzed in process.
 
 Mutated copies of the desk process-B model (truncated, bytes flipped, a
 field dropped, a field given a value of the wrong type) go through
-`validate`, `trace` and `diff` via `archmeta.cli.main`. Whatever the
-bytes, no exception may escape, the exit code must be 0, 1 or 2, and a
-file that `loads_model` rejects (or that is not UTF-8) must exit 2.
+`validate`, `trace` and `diff`; mutated rules and alias files go through
+`extract` and `score`; mutated PlantUML and Mermaid views of the desk
+original model go through `parse` and `lift`. Every call runs via
+`archmeta.cli.main`. Whatever the bytes, no exception may escape and the
+exit code must be 0, 1 or 2; a model file that `loads_model` rejects (or
+that is not UTF-8) must exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archmeta.cli import main
-from archmeta.diagrams import loads_model
+from archmeta.diagrams import DiagramType, loads_model, render_diagram_view
+from archmeta.diagrams.render import view_format
 from archmeta.errors import ArchmetaError
 
 DESK = Path(__file__).parent / "fixtures" / "desk"
@@ -135,3 +139,140 @@ def test_every_field_dropped_or_retyped_keeps_the_exit_code_contract():
     for field in FIELDS:
         for value in (_DROP, *_WRONG_VALUES):
             _check(_edited(field, 0, value))
+
+
+# ---------------------------------------------------------------- text inputs
+
+
+def _lines_of(tokens: tuple[str, ...]) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(tokens), min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def mutated_text(draw: st.DrawFn, source: bytes, new_lines: st.SearchStrategy[str]) -> bytes:
+    """source truncated, with bytes flipped, or with lines deleted, repeated,
+    swapped or inserted (inserted lines are drawn from new_lines)."""
+    how = draw(st.sampled_from(("truncate", "flip", "lines")))
+    if how == "truncate":
+        return source[: draw(st.integers(0, max(0, len(source) - 1)))]
+    if how == "flip":
+        data = bytearray(source)
+        for pos in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+            data[pos] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    lines = source.decode("utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("delete", "repeat", "swap", "insert")))
+        if edit == "insert" or not lines:
+            lines.insert(at, draw(new_lines))
+            continue
+        at = min(at, len(lines) - 1)
+        if edit == "delete":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+    return "\n".join(lines).encode("utf-8") + draw(st.sampled_from((b"", b"\n")))
+
+
+def _check_codes(argvs: list[list[str]]) -> None:
+    for argv in argvs:
+        assert _run(*argv) in (0, 1, 2), argv
+
+
+# ---------------------------------------------------------------- rules and aliases
+
+RULES = (DESK / "rules.txt").read_bytes()
+ALIASES = (DESK / "aliases.txt").read_bytes()
+RULE_TOKENS = (
+    "version 1", "#", "->", "-> Component", "Component", "DomainEntity", "Blob",
+    "name-from:", "dirname", "filename", "key", "services", "domain", "*", "**", "**x",
+    "*/", "/", "//", ".", "..", "../*", "./", "/abs", "*.py", "[", "]", "?", "~",
+    "capabilities.json#capabilities", "processes.json#", "#k", "x.json#k", "services/*/",
+    "domain/*.py", "\t",
+)
+ALIAS_TOKENS = ("#", "\t", "Catalog Search", "Search", "Order", "orders", "", " ", "-", "_")
+_PATH_PIECES = ("services", "domain", "*", "**", "**x", "x**", "..", ".", "", "*.py", "[", "a?",
+                "capabilities.json")
+
+
+@st.composite
+def rule_lines(draw: st.DrawFn) -> str:
+    """A well-formed rule line whose path is any mix of glob pieces."""
+    pieces = draw(st.lists(st.sampled_from(_PATH_PIECES), max_size=4))
+    path = (draw(st.sampled_from(("", "/"))) + "/".join(pieces)
+            + draw(st.sampled_from(("", "/", ".json#k", "#"))))
+    kind = draw(st.sampled_from(("Component", "DomainEntity", "BusinessCapability", "Blob")))
+    name_from = draw(st.sampled_from(("", "dirname", "filename", "key", "x")))
+    return f"{path} -> {kind}" + (f" name-from: {name_from}" if name_from else "")
+
+
+def _score_argv(rules: str, aliases: str) -> list[str]:
+    return [
+        "score",
+        "--model", str(DESK / "process_b.archmeta.json"),
+        "--reference", str(DESK / "original.archmeta.json"),
+        "--baseline", OTHER,
+        "--codebase", str(DESK / "codebase"),
+        "--rules", rules,
+        "--artifacts", str(DESK / "artifacts"),
+        "--aliases", aliases,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mutated_text(RULES, st.one_of(rule_lines(), _lines_of(RULE_TOKENS))),
+                rule_lines().map(lambda line: RULES + line.encode("utf-8") + b"\n")),
+       mutated_text(ALIASES, _lines_of(ALIAS_TOKENS)), st.booleans())
+def test_malformed_rules_and_aliases_keep_the_exit_code_contract(rules, aliases, bad_rules):
+    with tempfile.TemporaryDirectory() as tmp:
+        rules_path, aliases_path = Path(tmp) / "rules.txt", Path(tmp) / "aliases.txt"
+        # one input mutated at a time, so the other cannot mask a crash behind exit 2
+        rules_path.write_bytes(rules if bad_rules else RULES)
+        aliases_path.write_bytes(ALIASES if bad_rules else aliases)
+        root = str(DESK / "codebase")
+        _check_codes([
+            ["extract", "--root", root, "--rules", str(rules_path)],
+            ["extract", "--root", root, "--rules", str(rules_path), "--aliases", str(aliases_path),
+             "--model", str(DESK / "process_b.archmeta.json")],
+            _score_argv(str(rules_path), str(aliases_path)),
+        ])
+
+
+# ---------------------------------------------------------------- diagrams
+
+_DESK_ORIGINAL = loads_model((DESK / "original.archmeta.json").read_text("utf-8"))
+# every view of the desk original model, with the file suffix of its notation
+VIEWS = [
+    (dtype, render_diagram_view(_DESK_ORIGINAL, dtype).encode("utf-8"),
+     ".puml" if view_format(dtype).value == "plantuml" else ".mmd")
+    for dtype in DiagramType
+]
+DIAGRAM_TOKENS = (
+    "@startuml", "@enduml", "graph TD", "flowchart LR", "sequenceDiagram", "erDiagram",
+    "classDiagram", "component", "database", "package", "class", "interface", "node",
+    "rectangle", "actor", "participant", "subgraph", "end", "note", "as", "\"x y\"", "A", "b-1",
+    "{", "}", "[", "]", "(", ")", "[[", "((", "-->", "..>", "--|>", "->", "->>", "-.->",
+    "||--o{", ":", ";", "|", "<<", ">>", "<<Service>>", "%%", "'", "!include", "skinparam",
+    "\t",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VIEWS).flatmap(
+    lambda view: st.tuples(st.just(view), mutated_text(view[1], _lines_of(DIAGRAM_TOKENS)))))
+def test_malformed_diagrams_keep_the_exit_code_contract(case):
+    (dtype, _, suffix), blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"view{suffix}"
+        path.write_bytes(blob)
+        _check_codes([
+            ["parse", str(path)],
+            ["parse", "--json", "--format", "mermaid" if suffix == ".puml" else "plantuml",
+             str(path)],
+            ["lift", str(path)],
+            ["lift", "--type", dtype.value, "--system", "fuzz", str(path)],
+        ])

@@ -73,6 +73,19 @@ def test_load_rules_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_load_rules_accepts_paths_that_stay_under_the_root():
+    rules = load_rules(
+        "version 1\n"
+        "**/*.py -> DomainEntity\n"
+        "src/**/api/ -> Component\n"
+        "./domain/*.py -> DomainEntity\n"
+        "a..b/*.json#k -> BusinessCapability\n"
+    )
+    assert [r.pattern for r in rules] == [
+        "**/*.py", "src/**/api/", "./domain/*.py", "a..b/*.json#k",
+    ]
+
+
 def test_scan_walks_globs_and_manifests(tmp_path):
     (tmp_path / "services" / "order-service").mkdir(parents=True)
     (tmp_path / "services" / "order-service" / "app.py").write_text("")
