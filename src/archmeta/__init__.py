@@ -64,6 +64,7 @@ _HOMES = {
         "group_cosines", "machine_readability", "mean_cosine", "pattern_coverage",
         "score_report", "semantic_fidelity", "semantic_fidelity_between",
     ),
+    ".metrics.pipeline": ("score_architecture",),
     ".prompts.context": ("ContextBlock", "render_context_block", "select_diagram_set"),
     ".prompts.templates": ("assemble_prompt",),
     ".traces": ("TraceReport", "matrix_to_tsv", "trace_matrix", "traceability_coverage"),

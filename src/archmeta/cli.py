@@ -13,8 +13,9 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .errors import ArchmetaError
 
@@ -86,11 +87,24 @@ def _dump_json(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _emit(args: argparse.Namespace, human: str, payload: Mapping[str, Any]) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(_dump_json(payload))
-    else:
-        sys.stdout.write(human if human.endswith("\n") else human + "\n")
+def _emit(args: argparse.Namespace, human: Callable[[], str], machine: Callable[[], str],
+          output: str | None = None, markdown: str | None = None) -> None:
+    """Send one result where the flags ask for it: the machine (JSON) text to
+    `output`, the human text to `markdown`, and one of the two to stdout, the
+    machine text under --json. Each text is rendered at most once, and only
+    when some destination takes it."""
+    machine = cache(machine)
+
+    @cache
+    def human_text() -> str:
+        text = human()
+        return text if text.endswith("\n") else text + "\n"
+
+    if output:
+        _write_atomic(output, machine())
+    if markdown:
+        _write_atomic(markdown, human_text())
+    sys.stdout.write(machine() if args.json else human_text())
 
 
 # ---------------------------------------------------------------- parse
@@ -123,7 +137,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         "parsable_count": audit.parsable_count,
         "total_count": audit.total_count,
     }
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload))
     return 0 if audit.parsable_count == audit.total_count else 1
 
 
@@ -149,10 +163,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
     text = dumps_model(model)
     if args.output:
         _write_atomic(args.output, text)
-        if not args.json:
-            print(f"wrote {args.output}")
-        else:
-            sys.stdout.write(_dump_json({"output": args.output, "entities": len(model.entities)}))
+        _emit(args, lambda: f"wrote {args.output}",
+              lambda: _dump_json({"output": args.output, "entities": len(model.entities)}))
     else:
         sys.stdout.write(text)
     return 0
@@ -201,9 +213,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "total": total,
         "consistency": k,
     }
-    if args.output:
-        _write_atomic(args.output, _dump_json(payload))
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload), args.output)
     return 1 if violated else 0
 
 
@@ -242,9 +252,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "coverage": report.coverage,
         "invalid_links": len(report.invalid_links),
     }
-    if args.output:
-        _write_atomic(args.output, _dump_json(payload))
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload), args.output)
     return 1 if report.coverage < args.threshold else 0
 
 
@@ -279,25 +287,11 @@ def _apply_config_defaults(args: argparse.Namespace, keys: Iterable[str]) -> dic
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .constraints import consistency_score, evaluate_constraints, violation_counts
-    from .diagrams.parse import check_parsability
-    from .extract.matching import load_aliases, match_expected
-    from .extract.patterns import detected_names
+    from dataclasses import replace
+
+    from .extract.matching import load_aliases
     from .extract.scan import scan_expected
-    from .metrics.delta import graph_delta, named_dependency_graph
-    from .metrics.embedding import lexical_embed
-    from .metrics.scores import (
-        completeness,
-        completeness_ratio,
-        constraint_effectiveness,
-        document_groups,
-        group_cosines,
-        machine_readability,
-        mean_cosine,
-        pattern_coverage,
-        score_report,
-    )
-    from .traces import traceability_coverage
+    from .metrics.pipeline import score_architecture
 
     keys = (
         "model", "reference", "baseline", "codebase", "rules",
@@ -315,108 +309,26 @@ def cmd_score(args: argparse.Namespace) -> int:
     codebase = _require_dir(args.codebase, "--codebase")
     rules_text = _read_text(args.rules, "--rules")
     artifact_dir = _require_dir(args.artifacts, "--artifacts")
-    aliases = (
-        load_aliases(_read_text(args.aliases, "--aliases"))
-        if args.aliases
-        else None
-    )
-
-    # completeness: codebase expectation vs model entities
+    aliases = load_aliases(_read_text(args.aliases, "--aliases")) if args.aliases else None
     expected = scan_expected(codebase, rules_text)
-    match_report = match_expected(expected, model, aliases)
-    c_raw = completeness(len(expected), match_report.matched_count)
-    c_inputs = {
-        "expected_count": len(expected),
-        "matched_count": match_report.matched_count,
-        "unclamped_ratio": completeness_ratio(len(expected), match_report.matched_count),
-        "unmatched": [f"{kind.value}:{name}" for name, kind in match_report.unmatched],
-    }
-
-    # semantic fidelity: reference documents vs model documents
+    patterns = args.expected_patterns or None  # None: the patterns detected on the reference
+    if isinstance(patterns, str):
+        patterns = [p.strip() for p in patterns.split(",") if p.strip()]
     # read here rather than through archmeta.remote, whose urllib and http.client
     # imports only load when an endpoint is configured
     endpoint = os.environ.get("ARCHMETA_EMBED_ENDPOINT")
+    client = None
     if endpoint:
         from .remote import EmbeddingClient
 
         client = EmbeddingClient(endpoint)
-        embedder = client.embed
-    else:
-        client = None
-        embedder = lexical_embed
-    cosines = group_cosines(document_groups(reference), document_groups(model), embedder)
-    sf_raw = mean_cosine(cosines)
-    sf_inputs: dict[str, Any] = {
-        "group_cosines": cosines,
-        "provider": client.provider_info() if client else {"provider": "lexical-tf-1+2gram", "dimension": None},
-    }
-
-    # consistency: constraint evaluation over the model under test
-    constraints = _constraints_for(args, model)
-    results = evaluate_constraints(model, constraints)
-    violated, total = violation_counts(results)
-    k_raw = consistency_score(results)
-    k_inputs = {"violated": violated, "total": total,
-                "violated_ids": [r.constraint_id for r in results if r.violated]}
-
-    # traceability coverage
-    trace_report = traceability_coverage(model)
-    tc_raw = trace_report.coverage
-    tc_inputs = {"slots_filled": trace_report.slots_filled,
-                 "slots_total": trace_report.slots_total}
-
-    # machine readability over the artifact directory
-    artifact_set = check_parsability(_collect_artifacts(artifact_dir))
-    mr_raw = machine_readability(artifact_set)
-    mr_inputs = {
-        "parsable_count": artifact_set.parsable_count,
-        "total_count": artifact_set.total_count,
-        "failed": [a.name for a in artifact_set.artifacts if a.parse_status != "parsed"],
-    }
-
-    # constraint effectiveness: drift vs unconstrained baseline drift
-    reference_graph = named_dependency_graph(reference)
-    drift = graph_delta(reference_graph, named_dependency_graph(model)).distance
-    baseline_distance = graph_delta(reference_graph, named_dependency_graph(baseline)).distance
-    lce_raw = constraint_effectiveness(drift, baseline_distance)
-    lce_inputs = {
-        "drift_distance": drift,
-        "baseline_distance": baseline_distance,
-        # reported alongside, never folded into the LCE value
-        "constraint_violation_rate": violated / total if total else 0.0,
-    }
-
-    # pattern coverage: expectation from the reference model unless pinned
-    if args.expected_patterns:
-        if isinstance(args.expected_patterns, str):
-            expected_patterns = {p.strip() for p in args.expected_patterns.split(",") if p.strip()}
-        else:
-            expected_patterns = set(args.expected_patterns)
-    else:
-        expected_patterns = set(detected_names(reference))
-    preserved = detected_names(model)
-    cpc_raw = pattern_coverage(expected_patterns, preserved)
-    cpc_inputs = {
-        "expected": sorted(expected_patterns),
-        "preserved": sorted(preserved),
-        "kept": sorted({p.casefold() for p in expected_patterns} & {p.casefold() for p in preserved}),
-    }
-
-    raw = {"C": c_raw, "SF": sf_raw, "K": k_raw, "TC": tc_raw,
-           "MR": mr_raw, "LCE": lce_raw, "CPC": cpc_raw}
-    inputs = {"C": c_inputs, "SF": sf_inputs, "K": k_inputs, "TC": tc_inputs,
-              "MR": mr_inputs, "LCE": lce_inputs, "CPC": cpc_inputs,
-              "config": {k: str(v) if v is not None else None for k, v in effective.items()}}
-    report = score_report(raw, inputs)
-
-    if args.output:
-        _write_atomic(args.output, report.to_canonical_fragment())
-    if args.markdown:
-        _write_atomic(args.markdown, report.to_markdown())
-    if args.json:
-        sys.stdout.write(report.to_canonical_fragment())
-    else:
-        sys.stdout.write(report.to_markdown())
+    report = score_architecture(
+        model, reference, baseline, expected, aliases, _collect_artifacts(artifact_dir),
+        _constraints_for(args, model), patterns, client,
+    )
+    config = {k: str(v) if v is not None else None for k, v in effective.items()}
+    report = replace(report, inputs={**report.inputs, "config": config})
+    _emit(args, report.to_markdown, report.to_canonical_fragment, args.output, args.markdown)
     return 0
 
 
@@ -448,9 +360,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         "added_edges": sorted(list(e) for e in delta.added_edges),
         "removed_edges": sorted(list(e) for e in delta.removed_edges),
     }
-    if args.output:
-        _write_atomic(args.output, _dump_json(payload))
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload), args.output)
     return 0
 
 
@@ -474,11 +384,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         from .extract.patterns import detect_patterns
 
         model = _load_model(args.model, "--model")
-        aliases = (
-            load_aliases(_read_text(args.aliases, "--aliases"))
-            if args.aliases
-            else None
-        )
+        aliases = load_aliases(_read_text(args.aliases, "--aliases")) if args.aliases else None
         match_report = match_expected(expected, model, aliases)
         lines.append(
             f"matched {match_report.matched_count}/{match_report.expected_count} expected entities"
@@ -496,9 +402,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         ]
     else:
         lines.append(f"{len(expected)} expected entities")
-    if args.output:
-        _write_atomic(args.output, _dump_json(payload))
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload), args.output)
     return 0
 
 
@@ -537,80 +441,71 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         "output": str(output),
         "bytes": len(rendered.encode("utf-8")),
     }
-    _emit(args, f"wrote {output}", payload)
+    _emit(args, lambda: f"wrote {output}", lambda: _dump_json(payload))
     return 0
 
 
 # ---------------------------------------------------------------- report
 
 
-def _load_fragment(path: str) -> dict[str, Any]:
+def _is_number(value: Any) -> bool:
+    """An int or float that a float can hold (a bool counts as an int)."""
+    return isinstance(value, float) or (isinstance(value, int)
+                                        and abs(value) <= sys.float_info.max)
+
+
+def _side(paths: list[str]) -> dict[str, Any]:
+    """The mean raw and ordinal value of each metric over one side's fragments."""
     from .metrics.scores import METRIC_KEYS
 
-    doc = _read_json(path, "report input")
-    metrics = doc.get("metrics") if isinstance(doc, dict) else None
-    if not isinstance(metrics, dict):
-        raise UsageError(f"{path}: not a metric report fragment")
-    for key in METRIC_KEYS:
-        entry = metrics.get(key)
-        if not (isinstance(entry, dict)
-                and all(isinstance(entry.get(f), (int, float)) for f in ("raw", "ordinal"))):
-            raise UsageError(
-                f"{path}: not a metric report fragment (no numeric raw and ordinal for {key})"
-            )
-    return doc
-
-
-def _mean_by_metric(fragments: list[dict[str, Any]], field: str) -> dict[str, float]:
-    from .metrics.scores import METRIC_KEYS
-
-    out: dict[str, float] = {}
-    for key in METRIC_KEYS:
-        values = [f["metrics"][key][field] for f in fragments]
-        out[key] = sum(values) / len(values)
-    return out
+    metrics = []
+    for path in paths:
+        doc = _read_json(path, "report input")
+        found = doc.get("metrics") if isinstance(doc, dict) else None
+        if not isinstance(found, dict):
+            raise UsageError(f"{path}: not a metric report fragment")
+        for key in METRIC_KEYS:
+            entry = found.get(key)
+            if not (isinstance(entry, dict)
+                    and all(_is_number(entry.get(f)) for f in ("raw", "ordinal"))):
+                raise UsageError(
+                    f"{path}: not a metric report fragment (no numeric raw and ordinal for {key})"
+                )
+        metrics.append(found)
+    # a float start keeps a sum of large ints from overflowing when a float joins it
+    side: dict[str, Any] = {
+        field: {key: sum((m[key][field] for m in metrics), 0.0) / len(metrics)
+                for key in METRIC_KEYS}
+        for field in ("raw", "ordinal")
+    }
+    side["reports"] = len(metrics)
+    return side
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .metrics.scores import METRIC_KEYS, METRIC_LABELS
 
-    side_a = [_load_fragment(p) for p in args.a]
-    side_b = [_load_fragment(p) for p in args.b]
-    a_raw = _mean_by_metric(side_a, "raw")
-    b_raw = _mean_by_metric(side_b, "raw")
-    a_ordinal = _mean_by_metric(side_a, "ordinal")
-    b_ordinal = _mean_by_metric(side_b, "ordinal")
-
+    a, b = _side(args.a), _side(args.b)
+    improvement = {k: b["ordinal"][k] - a["ordinal"][k] for k in METRIC_KEYS}
+    mean_improvement = sum(improvement.values()) / len(METRIC_KEYS)
     lines = [
         "| Metric | A raw | A ordinal | B raw | B ordinal | B - A (ordinal) |",
         "| --- | --- | --- | --- | --- | --- |",
+        *(f"| {METRIC_LABELS[k]} ({k}) | {a['raw'][k]:.4f} | {a['ordinal'][k]:.2f} "
+          f"| {b['raw'][k]:.4f} | {b['ordinal'][k]:.2f} | {improvement[k]:+.2f} |"
+          for k in METRIC_KEYS),
+        "",
+        f"mean ordinal improvement (B - A): {mean_improvement:+.2f}",
     ]
-    for key in METRIC_KEYS:
-        improvement = b_ordinal[key] - a_ordinal[key]
-        lines.append(
-            f"| {METRIC_LABELS[key]} ({key}) | {a_raw[key]:.4f} | {a_ordinal[key]:.2f} "
-            f"| {b_raw[key]:.4f} | {b_ordinal[key]:.2f} | {improvement:+.2f} |"
-        )
-    mean_improvement = sum(b_ordinal[k] - a_ordinal[k] for k in METRIC_KEYS) / len(METRIC_KEYS)
-    lines.append("")
-    lines.append(f"mean ordinal improvement (B - A): {mean_improvement:+.2f}")
-
     payload = {
         "schema_version": "1.0",
-        "a": {"raw": a_raw, "ordinal": a_ordinal, "reports": len(side_a)},
-        "b": {"raw": b_raw, "ordinal": b_ordinal, "reports": len(side_b)},
-        "improvement": {k: b_ordinal[k] - a_ordinal[k] for k in METRIC_KEYS},
+        "a": a,
+        "b": b,
+        "improvement": improvement,
         "mean_ordinal_improvement": mean_improvement,
     }
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        _write_atomic(args.output, _dump_json(payload))
-    if args.markdown:
-        _write_atomic(args.markdown, text)
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-    else:
-        sys.stdout.write(text)
+    _emit(args, lambda: "\n".join(lines), lambda: _dump_json(payload),
+          args.output, args.markdown)
     return 0
 
 
@@ -634,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="strict-parse diagram files and report status")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--format", choices=format_values)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("lift", help="parse diagrams and lift them into one canonical model")
     p.add_argument("inputs", nargs="+")
@@ -642,13 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=type_values, help="diagram type hint applied to every input")
     p.add_argument("--system", default="")
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("validate", help="evaluate architectural constraints against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--constraints", help="JSON constraint catalog (default: model's own, else preset)")
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trace", help="traceability coverage and matrix")
     p.add_argument("--model", required=True)
@@ -656,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0,
                    help="exit 1 when coverage falls below this value")
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("score", help="compute all seven quality metrics")
     p.add_argument("--model", help="model under evaluation (canonical JSON)")
@@ -672,13 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of flag defaults; explicit flags win")
     p.add_argument("--output", help="write the canonical report fragment here")
     p.add_argument("--markdown", help="write the Markdown table here")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("diff", help="named dependency-graph delta between two models")
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extract", help="scan a codebase for expected entities (and match a model)")
     p.add_argument("--root", required=True)
@@ -686,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aliases")
     p.add_argument("--model")
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("assemble", help="render a transformation prompt from a template")
     p.add_argument("--process", required=True, choices=["A", "B", "a", "b"])
@@ -696,15 +584,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context-model", dest="context_model")
     p.add_argument("--purpose")
     p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("report", help="compare metric reports from two workflows")
     p.add_argument("--a", nargs="+", required=True, help="report fragments for side A")
     p.add_argument("--b", nargs="+", required=True, help="report fragments for side B")
     p.add_argument("--output")
     p.add_argument("--markdown")
-    p.add_argument("--json", action="store_true")
 
+    for p in sub.choices.values():  # every command takes --json, last in its --help
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import InvalidConstraintParamsError, NoConstraintsDefinedError
 from .model import (
@@ -259,23 +259,31 @@ def _eval_acyclicity(model: Metamodel, constraint: Constraint, in_scope: set[str
     return sorted(cyclic)
 
 
-def _eval_context_isolation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
-    allowed_pairs = {
-        (pair[0], pair[1]) for pair in constraint.params.get("allowed_pairs", ())
-    }
-    context_of = model.ancestor_table(EntityKind.BoundedContext)
+def _crossings_off_api(model: Metamodel, in_scope: set[str] | None, boundary: EntityKind,
+                       allowed_pairs: Container[tuple[str, str]] = ()) -> list[str]:
+    """Dependencies from inside one `boundary` ancestor into another that do
+    not land on an ApiInterface, unless the (source, target) ancestor pair is
+    allowed."""
+    owner = model.ancestor_table(boundary)
     index = model.entity_index
     violations = []
     for rel in _scoped_relations(model, in_scope, _DEP):
-        src_ctx = context_of.get(rel.source)
-        tgt_ctx = context_of.get(rel.target)
-        if src_ctx is None or tgt_ctx is None or src_ctx == tgt_ctx:
+        src_box = owner.get(rel.source)
+        tgt_box = owner.get(rel.target)
+        if src_box is None or tgt_box is None or src_box == tgt_box:
             continue
-        if (src_ctx, tgt_ctx) in allowed_pairs:
+        if (src_box, tgt_box) in allowed_pairs:
             continue
         if index[rel.target].kind is not EntityKind.ApiInterface:
             violations.append(rel.id)
     return violations
+
+
+def _eval_context_isolation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
+    allowed_pairs = {
+        (pair[0], pair[1]) for pair in constraint.params.get("allowed_pairs") or ()
+    }
+    return _crossings_off_api(model, in_scope, EntityKind.BoundedContext, allowed_pairs)
 
 
 def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
@@ -294,17 +302,7 @@ def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: se
 
 
 def _eval_interface_mediation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
-    container_of = model.ancestor_table(EntityKind.Container)
-    index = model.entity_index
-    violations = []
-    for rel in _scoped_relations(model, in_scope, _DEP):
-        src_box = container_of.get(rel.source)
-        tgt_box = container_of.get(rel.target)
-        if src_box is None or tgt_box is None or src_box == tgt_box:
-            continue
-        if index[rel.target].kind is not EntityKind.ApiInterface:
-            violations.append(rel.id)
-    return violations
+    return _crossings_off_api(model, in_scope, EntityKind.Container)
 
 
 _EVALUATORS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from ..errors import DiagramSyntaxError, UnsupportedConstructError
-from .types import DiagramEdge, DiagramElement
+from .types import DiagramEdge, DiagramElement, _Sheet, _significant_lines
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_-]*"
 _COMMENT = re.compile(r"^\s*%%")
@@ -54,30 +54,14 @@ _UNSUPPORTED_WORDS = (
 )
 
 
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or _COMMENT.match(raw):
-            continue
-        out.append((i, line))
-    return out
-
-
 def _unsupported_check(line: str, lineno: int) -> None:
     word = line.split(None, 1)[0] if line else ""
     if word.lower() in _UNSUPPORTED_WORDS:
         raise UnsupportedConstructError(word, lineno)
 
 
-class _Sheet:
-    def __init__(self) -> None:
-        self.order: list[str] = []
-        self.elements: dict[str, dict] = {}
-        self.edges: list[DiagramEdge] = []
-
-    def declare(self, local_id: str, display: str, cls: str,
-                columns: list[str] | None = None) -> None:
+class _MermaidSheet(_Sheet):
+    def declare(self, local_id: str, display: str, cls: str) -> None:
         existing = self.elements.get(local_id)
         if existing is not None:
             # later, more specific appearances refine the node in place
@@ -85,51 +69,33 @@ class _Sheet:
                 existing["display"] = display
             if cls != "node":
                 existing["cls"] = cls
-            if columns:
-                existing["columns"].extend(columns)
             return
-        self.elements[local_id] = {
-            "display": display, "cls": cls, "columns": list(columns or ()),
-        }
+        self.elements[local_id] = {"display": display, "cls": cls, "members": []}
         self.order.append(local_id)
 
-    def edge(self, source: str, target: str, cls: str, label: str) -> None:
-        self.edges.append(DiagramEdge(source, target, cls, label))
 
-
-def _node_from_match(sheet: _Sheet, m: re.Match) -> str:
+def _node_from_match(sheet: _MermaidSheet, m: re.Match) -> str:
     ident, cyl, circle, rect, round_ = m.groups()
-    if cyl:
-        sheet.declare(ident, cyl, "database")
-    elif circle:
-        sheet.declare(ident, circle, "circle")
-    elif rect:
-        sheet.declare(ident, rect, "node")
-    elif round_:
-        sheet.declare(ident, round_, "node")
-    else:
-        sheet.declare(ident, ident, "node")
+    cls = "database" if cyl else "circle" if circle else "node"
+    sheet.declare(ident, cyl or circle or rect or round_ or ident, cls)
     return ident
 
 
-def _parse_graph(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_graph(body: list[tuple[int, str]]) -> _MermaidSheet:
+    sheet = _MermaidSheet()
     for lineno, line in body:
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             m = _RE_GRAPH_EDGE.match(stmt)
             if m:
                 src, label, tgt = m.group(1), m.group(2), m.group(3)
                 # endpoints may carry inline shapes; re-parse each side
-                for side in (stmt.split("-->")[0].strip(),):
-                    nm = _RE_NODE.match(side)
-                    if nm:
-                        _node_from_match(sheet, nm)
-                tail = stmt.split("-->", 1)[1]
+                head, tail = stmt.split("-->", 1)
                 if tail.lstrip().startswith("|"):
                     tail = tail.split("|", 2)[2]
-                nm = _RE_NODE.match(tail.strip())
-                if nm:
-                    _node_from_match(sheet, nm)
+                for side in (head, tail):
+                    nm = _RE_NODE.match(side.strip())
+                    if nm:
+                        _node_from_match(sheet, nm)
                 sheet.declare(src, src, "node")
                 sheet.declare(tgt, tgt, "node")
                 sheet.edge(src, tgt, "flow", (label or "").strip())
@@ -143,8 +109,8 @@ def _parse_graph(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_er(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_er(body: list[tuple[int, str]]) -> _MermaidSheet:
+    sheet = _MermaidSheet()
     open_entity: str | None = None
     for lineno, line in body:
         if open_entity is not None:
@@ -154,7 +120,7 @@ def _parse_er(body: list[tuple[int, str]]) -> _Sheet:
             m = _RE_ER_ATTR.match(line)
             if not m:
                 raise DiagramSyntaxError(lineno, 1, "attribute '<type> <name>' or '}'")
-            sheet.elements[open_entity]["columns"].append(f"{m.group(2)} ({m.group(1)})")
+            sheet.elements[open_entity]["members"].append(f"{m.group(2)} ({m.group(1)})")
             continue
         m = _RE_ER_REL.match(line)
         if m:
@@ -178,8 +144,8 @@ def _parse_er(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_sequence(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_sequence(body: list[tuple[int, str]]) -> _MermaidSheet:
+    sheet = _MermaidSheet()
     for lineno, line in body:
         m = _RE_SEQ_PART.match(line)
         if m:
@@ -200,8 +166,8 @@ def _parse_sequence(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_state(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_state(body: list[tuple[int, str]]) -> _MermaidSheet:
+    sheet = _MermaidSheet()
     for lineno, line in body:
         m = _RE_STATE_TRANS.match(line)
         if m:
@@ -227,7 +193,7 @@ def parse_mermaid(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdg
     family is one of graph/er/sequence/state. Raises DiagramSyntaxError or
     UnsupportedConstructError on any deviation from the subset.
     """
-    lines = _significant_lines(text)
+    lines = _significant_lines(text, _COMMENT)
     if not lines:
         raise DiagramSyntaxError(1, 1, "mermaid header")
     header_line, header = lines[0]
@@ -245,9 +211,4 @@ def parse_mermaid(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdg
             header_line, 1,
             "graph/flowchart, erDiagram, sequenceDiagram, or stateDiagram-v2 header",
         )
-    elements = []
-    for local in sheet.order:
-        raw = sheet.elements[local]
-        props = {"members": tuple(raw["columns"])} if raw["columns"] else {}
-        elements.append(DiagramElement(local, raw["display"], raw["cls"], props))
-    return family, elements, sheet.edges
+    return family, sheet.diagram_elements(), sheet.edges

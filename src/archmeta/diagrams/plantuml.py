@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from ..errors import DiagramSyntaxError, UnsupportedConstructError
-from .types import DiagramEdge, DiagramElement
+from .types import DiagramEdge, DiagramElement, _Sheet, _significant_lines
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _COMMENT = re.compile(r"^\s*'")
@@ -58,13 +58,8 @@ _RE_TRANSITION = re.compile(
 )
 
 
-class _Sheet:
-    """Accumulates elements and edges during one parse."""
-
-    def __init__(self) -> None:
-        self.order: list[str] = []
-        self.elements: dict[str, dict] = {}
-        self.edges: list[DiagramEdge] = []
+class _PlantUmlSheet(_Sheet):
+    """An id is declared explicitly once; an edge may name it first, implicitly."""
 
     def declare(self, local_id: str, display: str, cls: str, line: int,
                 implicit: bool = False, members: list[str] | None = None) -> None:
@@ -83,22 +78,9 @@ class _Sheet:
         }
         self.order.append(local_id)
 
-    def edge(self, source: str, target: str, cls: str, label: str) -> None:
-        self.edges.append(DiagramEdge(source, target, cls, label))
-
-
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or _COMMENT.match(raw):
-            continue
-        out.append((i, line))
-    return out
-
 
 def _frame(text: str) -> list[tuple[int, str]]:
-    lines = _significant_lines(text)
+    lines = _significant_lines(text, _COMMENT)
     if not lines or lines[0][1] != "@startuml":
         bad_line = lines[0][0] if lines else 1
         raise DiagramSyntaxError(bad_line, 1, "@startuml")
@@ -121,7 +103,7 @@ def detect_family(text: str) -> str:
     try:
         body = _frame(text)
     except DiagramSyntaxError:
-        body = _significant_lines(text)
+        body = _significant_lines(text, _COMMENT)
     for _, line in body:
         word = line.split(None, 1)[0] if line else ""
         if word == "class":
@@ -141,7 +123,7 @@ def _unsupported_check(line: str, lineno: int) -> None:
         raise UnsupportedConstructError(word or line, lineno)
 
 
-def _strip_endpoint(sheet: _Sheet, token: str, default_cls: str, lineno: int) -> str:
+def _strip_endpoint(sheet: _PlantUmlSheet, token: str, default_cls: str, lineno: int) -> str:
     if token.startswith("["):
         name = token[1:-1]
         sheet.declare(name, name, "component", lineno, implicit=True)
@@ -150,8 +132,8 @@ def _strip_endpoint(sheet: _Sheet, token: str, default_cls: str, lineno: int) ->
     return token
 
 
-def _parse_component(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_component(body: list[tuple[int, str]]) -> _PlantUmlSheet:
+    sheet = _PlantUmlSheet()
     package_stack: list[str] = []
     for lineno, line in body:
         m = _RE_PACKAGE.match(line)
@@ -197,8 +179,8 @@ def _parse_component(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_class(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_class(body: list[tuple[int, str]]) -> _PlantUmlSheet:
+    sheet = _PlantUmlSheet()
     open_class: str | None = None
     for lineno, line in body:
         if open_class is not None:
@@ -229,8 +211,8 @@ def _parse_class(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_sequence(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_sequence(body: list[tuple[int, str]]) -> _PlantUmlSheet:
+    sheet = _PlantUmlSheet()
     for lineno, line in body:
         m = _RE_PARTICIPANT.match(line)
         if m:
@@ -252,8 +234,8 @@ def _parse_sequence(body: list[tuple[int, str]]) -> _Sheet:
     return sheet
 
 
-def _parse_state(body: list[tuple[int, str]]) -> _Sheet:
-    sheet = _Sheet()
+def _parse_state(body: list[tuple[int, str]]) -> _PlantUmlSheet:
+    sheet = _PlantUmlSheet()
 
     def endpoint(token: str, position: str, lineno: int) -> str:
         if token == "[*]":
@@ -299,9 +281,4 @@ def parse_plantuml(text: str) -> tuple[str, list[DiagramElement], list[DiagramEd
     body = _frame(text)
     family = detect_family(text)
     sheet = _FAMILY_PARSERS[family](body)
-    elements = []
-    for local in sheet.order:
-        raw = sheet.elements[local]
-        props = {"members": tuple(raw["members"])} if raw["members"] else {}
-        elements.append(DiagramElement(local, raw["display"], raw["cls"], props))
-    return family, elements, sheet.edges
+    return family, sheet.diagram_elements(), sheet.edges

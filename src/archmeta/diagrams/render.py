@@ -79,6 +79,14 @@ _NOTATION_EDGE_CLASSES: dict[str, tuple[str, ...]] = {
     "mermaid-er": ("relationship",),
 }
 
+# Mermaid node shapes by element class: opener, closer, and the characters a
+# label may not hold (the shape's closers plus ';', the statement splitter).
+_MERMAID_SHAPES = {
+    "node": ("[", "]", "];"),
+    "database": ("[(", ")]", ")];"),
+    "circle": ("((", "))", ");"),
+}
+
 _PLANTUML_IDENT_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 _MERMAID_IDENT_OK = _PLANTUML_IDENT_OK + "-"
 
@@ -101,24 +109,18 @@ def _ident_map(ids: Iterable[str], allowed: str) -> dict[str, str]:
 
 
 def _clean_display(name: str, forbidden: str, strict: bool, notation: str) -> str:
-    text = " ".join(name.split()) or "unnamed"
-    bad = [c for c in forbidden if c in text]
-    if bad:
-        if strict:
-            raise UnrepresentableConstructError(notation, f"name containing {bad[0]!r}: {name!r}")
-        for c in bad:
-            text = text.replace(c, "'" if c == '"' else "/")
-    return text
+    return _clean_label(name, forbidden, strict, notation, "name") or "unnamed"
 
 
-def _clean_label(label: str, forbidden: str, strict: bool, notation: str) -> str:
+def _clean_label(label: str, forbidden: str, strict: bool, notation: str,
+                 what: str = "label") -> str:
     text = " ".join(label.split())
     bad = [c for c in forbidden if c in text]
     if bad:
         if strict:
-            raise UnrepresentableConstructError(notation, f"label containing {bad[0]!r}: {label!r}")
+            raise UnrepresentableConstructError(notation, f"{what} containing {bad[0]!r}: {label!r}")
         for c in bad:
-            text = text.replace(c, "/")
+            text = text.replace(c, "'" if c == '"' else "/")
     return text
 
 
@@ -127,6 +129,16 @@ def _members_of(entity: Entity) -> list[str]:
     if not isinstance(raw, (list, tuple)):
         return []
     return [" ".join(str(m).split()) for m in raw if str(m).strip() and str(m).strip() != "}"]
+
+
+def _close(lines: list[str], notes: list[str], notation: str) -> str:
+    """The finished text: one comment line per omitted construct, then the end."""
+    if notation.startswith("mermaid"):
+        lines.extend(f"  %% omitted: {note}" for note in notes)
+    else:
+        lines.extend(f"' omitted: {note}" for note in notes)
+        lines.append("@enduml")
+    return "\n".join(lines) + "\n"
 
 
 def _skip(notes: list[str], strict: bool, notation: str, construct: str) -> None:
@@ -148,10 +160,6 @@ def _emit_plantuml_component(
     notes: list[str],
 ) -> str:
     notation = "plantuml-component"
-    keyword = {
-        "component": "component", "database": "database", "actor": "actor",
-        "interface": "interface", "queue": "queue",
-    }
     lines = ["@startuml"]
     # containment nesting is expressible only through package blocks whose
     # parent lifts back from the package class
@@ -192,7 +200,7 @@ def _emit_plantuml_component(
             lines.append(f"{indent}}}")
             return
         display = _clean_display(entity.name, '"', strict, notation)
-        lines.append(f'{indent}{keyword[cls]} "{display}" as {ident}')
+        lines.append(f'{indent}{cls} "{display}" as {ident}')
 
     for entity, cls in entities:
         if entity.id in parent_of:
@@ -204,10 +212,7 @@ def _emit_plantuml_component(
         label = _clean_label(rel.label, "", strict, notation)
         suffix = f" : {label}" if label else ""
         lines.append(f"{src} --> {tgt}{suffix}")
-    for note in notes:
-        lines.append(f"' omitted: {note}")
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 def _emit_plantuml_class(
@@ -233,10 +238,7 @@ def _emit_plantuml_class(
         label = _clean_label(rel.label, "", strict, notation)
         suffix = f" : {label}" if label else ""
         lines.append(f"{idents[rel.source]} {arrows[cls]} {idents[rel.target]}{suffix}")
-    for note in notes:
-        lines.append(f"' omitted: {note}")
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 def _emit_plantuml_sequence(
@@ -256,10 +258,7 @@ def _emit_plantuml_sequence(
         text = _clean_label(rel.label, "", strict, notation) or rel.kind.value
         arrow = "-->" if cls == "reply" else "->"
         lines.append(f"{idents[rel.source]} {arrow} {idents[rel.target]} : {text}")
-    for note in notes:
-        lines.append(f"' omitted: {note}")
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 def _emit_plantuml_state(
@@ -282,10 +281,7 @@ def _emit_plantuml_state(
         label = _clean_label(rel.label, "", strict, notation)
         suffix = f" : {label}" if label else ""
         lines.append(f"{idents[rel.source]} --> {idents[rel.target]}{suffix}")
-    for note in notes:
-        lines.append(f"' omitted: {note}")
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 def _emit_mermaid_graph(
@@ -297,24 +293,16 @@ def _emit_mermaid_graph(
 ) -> str:
     notation = "mermaid-graph"
     lines = ["graph TD"]
-    # forbidden chars: shape closers plus ';', the statement splitter
-    shape = {
-        "node": ("[", "]", "];"),
-        "database": ("[(", ")]", ")];"),
-        "circle": ("((", "))", ");"),
-    }
     for entity, cls in entities:
         ident = idents[entity.id]
-        open_, close, forbidden = shape[cls]
+        open_, close, forbidden = _MERMAID_SHAPES[cls]
         display = _clean_display(entity.name, forbidden, strict, notation)
         lines.append(f"  {ident}{open_}{display}{close}")
     for rel, _cls in relations:
         label = _clean_label(rel.label, "|;", strict, notation)
         mid = f"-->|{label}|" if label else "-->"
         lines.append(f"  {idents[rel.source]} {mid} {idents[rel.target]}")
-    for note in notes:
-        lines.append(f"  %% omitted: {note}")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 def _emit_mermaid_er(
@@ -349,9 +337,7 @@ def _emit_mermaid_er(
     for rel, _cls in relations:
         text = _clean_label(rel.label, "", strict, notation) or rel.kind.value
         lines.append(f"  {idents[rel.source]} ||--o{{ {idents[rel.target]} : {text}")
-    for note in notes:
-        lines.append(f"  %% omitted: {note}")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, notation)
 
 
 # ---------------------------------------------------------------- typed views
@@ -507,10 +493,7 @@ def serialize_metamodel(
             label = _clean_label(rel.label, "", strict, "plantuml")
             suffix = f" : {label}" if label else ""
             lines.append(f"{idents[rel.source]} {arrow} {idents[rel.target]}{suffix}")
-        for note in notes:
-            lines.append(f"' omitted: {note}")
-        lines.append("@enduml")
-        return "\n".join(lines) + "\n"
+        return _close(lines, notes, "plantuml")
 
     idents = _ident_map((e.id for e in entities), _MERMAID_IDENT_OK)
     lines = ["graph TD"]
@@ -519,12 +502,8 @@ def serialize_metamodel(
         if grouping == "by-layer" and entity.layer is not current_layer:
             current_layer = entity.layer
             lines.append(f"  %% layer {int(current_layer)}: {current_layer.name}")
-        if entity.kind is EntityKind.DataStore:
-            open_, close, bad = "[(", ")]", ")];"
-        elif entity.kind is EntityKind.Queue:
-            open_, close, bad = "((", "))", ");"
-        else:
-            open_, close, bad = "[", "]", "];"
+        shape = {EntityKind.DataStore: "database", EntityKind.Queue: "circle"}.get(entity.kind)
+        open_, close, bad = _MERMAID_SHAPES[shape or "node"]
         display = _clean_display(entity.name, bad, strict, "mermaid")
         lines.append(f"  {idents[entity.id]}{open_}{display}{close}")
     for rel in relations:
@@ -534,6 +513,4 @@ def serialize_metamodel(
         label = _clean_label(rel.label, "|;", strict, "mermaid")
         mid = f"-->|{label}|" if label else "-->"
         lines.append(f"  {idents[rel.source]} {mid} {idents[rel.target]}")
-    for note in notes:
-        lines.append(f"  %% omitted: {note}")
-    return "\n".join(lines) + "\n"
+    return _close(lines, notes, "mermaid")

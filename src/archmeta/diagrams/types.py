@@ -1,8 +1,10 @@
-"""Diagram-side types: the 18 view types, parse results, artifact sets."""
+"""Diagram-side types: the 18 view types, parse results, artifact sets, and
+the scaffolding the PlantUML and Mermaid parsers share."""
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -98,6 +100,36 @@ class Diagram:
     @property
     def parsed(self) -> bool:
         return self.parse_status == "parsed"
+
+
+def _significant_lines(text: str, comment: re.Pattern[str]) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is neither blank nor a
+    comment by the notation's `comment` pattern."""
+    return [(i, line) for i, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not comment.match(raw)]
+
+
+class _Sheet:
+    """Elements and edges accumulated during one parse. Each notation
+    subclasses it with its own `declare`, which records an element as a dict
+    with "display", "cls" and a "members" list."""
+
+    def __init__(self) -> None:
+        self.order: list[str] = []
+        self.elements: dict[str, dict] = {}
+        self.edges: list[DiagramEdge] = []
+
+    def edge(self, source: str, target: str, cls: str, label: str) -> None:
+        self.edges.append(DiagramEdge(source, target, cls, label))
+
+    def diagram_elements(self) -> list[DiagramElement]:
+        """The elements in declaration order; members, if any, as a tuple."""
+        out = []
+        for local in self.order:
+            raw = self.elements[local]
+            props = {"members": tuple(raw["members"])} if raw["members"] else {}
+            out.append(DiagramElement(local, raw["display"], raw["cls"], props))
+        return out
 
 
 @dataclass(frozen=True)

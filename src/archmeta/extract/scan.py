@@ -9,7 +9,9 @@ where pattern is either a glob relative to the root (a trailing slash matches
 directories instead of files) or "<file>.json#<key>" naming one key of a JSON
 manifest. A dict value contributes its keys, a list its string items. A path
 must stay under the root: no leading "/", no ".." component, and "**" only as
-a whole component.
+a whole component. A glob never lists the root itself ("**/" lists every
+directory below it), but, as in any glob, "**" matches zero directories too:
+"services/**/" lists "services/" along with each directory below it.
 Defaults for name-from: key for manifest rules, dirname for directory globs,
 filename (text before the first dot) for file globs.
 """
@@ -161,6 +163,8 @@ def _glob_names(root: Path, rule: ScanRule) -> list[tuple[str, str]]:
     matches = sorted(root.glob(pattern))
     out = []
     for path in matches:
+        if path == root:  # a leading "**" matches zero directories
+            continue
         if want_dirs and not path.is_dir():
             continue
         if not want_dirs and not path.is_file():

@@ -1,4 +1,5 @@
-"""Quality metrics: embeddings, structural deltas, and the score report.
+"""Quality metrics: embeddings, structural deltas, the score report and the
+seven-metric scoring pipeline.
 
 Public names load their home module on first access (PEP 562).
 """
@@ -12,6 +13,7 @@ _HOMES = {
         "named_dependency_graph",
     ),
     ".embedding": ("EmbeddingVector", "cosine", "dense_vector", "lexical_embed", "tokenize"),
+    ".pipeline": ("score_architecture",),
     ".scores": (
         "DOCUMENT_GROUPS", "METRIC_KEYS", "METRIC_LABELS", "MetricReport", "completeness",
         "completeness_ratio", "constraint_effectiveness", "document_groups", "group_cosines",

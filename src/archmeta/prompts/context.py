@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..constraints import validate_constraint_params
 from ..diagrams.canonical import dumps_model
 from ..diagrams.render import render_diagram_view, view_entity_kinds
 from ..diagrams.types import PRIMARY_LAYER, DiagramType
@@ -76,7 +77,7 @@ def describe_constraint(constraint: Constraint) -> str:
     if kind is ConstraintKind.dependency_direction:
         groups = constraint.params.get("groups")
         if groups:
-            names = " -> ".join(g["name"] for g in groups)  # type: ignore[index]
+            names = " -> ".join(str(g["name"]) for g in groups)  # type: ignore[index]
         else:
             names = "Implementation -> System -> Business"
         body = (
@@ -87,7 +88,7 @@ def describe_constraint(constraint: Constraint) -> str:
         allowed = ", ".join(constraint.params.get("allowed_targets", ()))  # type: ignore[arg-type]
         body = f"scoped entities may only depend on targets in layers: {allowed}"
     elif kind is ConstraintKind.acyclicity:
-        kinds = ", ".join(constraint.params.get("relation_kinds", ("dependency",)))  # type: ignore[arg-type]
+        kinds = ", ".join(constraint.params.get("relation_kinds") or ("dependency",))  # type: ignore[arg-type]
         body = f"the {kinds} relation graph must remain free of cycles"
     elif kind is ConstraintKind.context_isolation:
         body = (
@@ -138,6 +139,10 @@ def render_context_block(
     types: list[DiagramType] | tuple[DiagramType, ...],
     instructions: str = DEFAULT_INSTRUCTIONS,
 ) -> ContextBlock:
+    """The context block of a model. A model constraint with malformed params
+    raises InvalidConstraintParamsError, as it does in evaluation."""
+    for constraint in model.constraints:
+        validate_constraint_params(constraint)
     sections: list[tuple[AbstractionLayer, DiagramType, str]] = []
     notes: list[str] = []
     for dtype in types:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import archmeta
-from archmeta.metrics.scores import score_report
+from archmeta.metrics.scores import METRIC_KEYS, score_report
 from archmeta.remote import EMBED_ENDPOINT_VAR
 from tests.support import desk
 
@@ -447,6 +447,19 @@ def test_assemble_context_slot(cli, desk_dir, tmp_path):
     assert "<<<SECTION: INVARIANTS>>>" in rendered
 
 
+def test_assemble_context_model_with_malformed_params_is_an_input_error(cli, desk_dir, tmp_path):
+    doc = json.loads((desk_dir / "original.archmeta.json").read_text("utf-8"))
+    doc["constraints"] = [{"id": "walls", "kind": "layer-boundary", "scope": None,
+                           "params": {"allowed_targets": None}}]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    result = cli("assemble", "--process", "B", "--stage", "td-to-bd",
+                 "--slot", "td_and_diagrams=@context", "--context-model", str(model),
+                 "--purpose", "scope", "--output", str(tmp_path / "p.txt"))
+    assert (result.code, result.err) == (
+        2, "error: constraint 'walls': allowed_targets must be a non-empty list of layer names\n")
+
+
 def test_assemble_usage_errors(cli, desk_dir, tmp_path):
     bad_spec = cli("assemble", "--process", "A", "--stage", "td-to-bd", "--slot", "td")
     assert bad_spec.code == 2
@@ -511,6 +524,14 @@ def test_report_rejects_non_fragments(cli, tmp_path):
     result = cli("report", "--a", str(junk), "--b", str(junk))
     assert result.code == 2
     assert "not a metric report fragment" in result.err
+    good = _fragment(tmp_path / "good.json", dict.fromkeys(METRIC_KEYS, 0.5))
+    doc = json.loads(Path(good).read_text())
+    doc["metrics"]["K"]["raw"] = 10**400  # past what a float holds
+    junk.write_text(json.dumps(doc))
+    assert "no numeric raw and ordinal for K" in cli("report", "--a", str(junk), "--b", good).err
+    doc["metrics"]["K"]["raw"] = 10**308  # a float holds it, but not twice over
+    junk.write_text(json.dumps(doc))
+    assert cli("report", "--a", str(junk), str(junk), good, "--b", good).code == 0
 
 
 # ---------------------------------------------------------------- input boundaries
@@ -606,6 +627,21 @@ def test_validate_imports_only_what_it_runs(desk_dir):
     assert "archmeta.constraints" in loaded
     for unused in ("archmeta.diagrams.render", "archmeta.prompts", "archmeta.extract",
                    "archmeta.metrics", "archmeta.remote"):
+        assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
+
+
+def test_report_imports_no_scoring_stage(tmp_path):
+    raw = dict.fromkeys(("C", "SF", "K", "TC", "MR", "LCE", "CPC"), 0.5)
+    a, b = _fragment(tmp_path / "a.json", raw), _fragment(tmp_path / "b.json", raw)
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from archmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['report', '--a', {a!r}, '--b', {b!r}]) == 0\n"
+    )
+    assert "archmeta.metrics.scores" in loaded
+    for unused in ("archmeta.constraints", "archmeta.traces", "archmeta.extract",
+                   "archmeta.diagrams.parse", "archmeta.metrics.pipeline", "archmeta.remote"):
         assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
 
 

@@ -4,7 +4,9 @@ Mutated copies of the desk process-B model (truncated, bytes flipped, a
 field dropped, a field given a value of the wrong type) go through
 `validate`, `trace` and `diff`; mutated rules and alias files go through
 `extract` and `score`; mutated PlantUML and Mermaid views of the desk
-original model go through `parse` and `lift`. Every call runs via
+original model go through `parse` and `lift`; mutated score fragments go
+through `report`; mutated slot files and context models go through
+`assemble`. Every call runs via
 `archmeta.cli.main`. Whatever the bytes, no exception may escape and the
 exit code must be 0, 1 or 2; a model file that `loads_model` rejects (or
 that is not UTF-8) must exit 2.
@@ -69,10 +71,10 @@ def _instances(node: object, field: tuple) -> list[tuple[object, object]]:
 _DROP = object()
 
 
-def _edited(field: tuple, instance: int, value: object) -> bytes:
-    """The desk document with one instance of a field dropped (value _DROP)
-    or set to value, as JSON bytes."""
-    doc = json.loads(SOURCE)
+def _edited(field: tuple, instance: int, value: object, source: bytes = SOURCE) -> bytes:
+    """The source document (by default the desk model) with one instance of a
+    field dropped (value _DROP) or set to value, as JSON bytes."""
+    doc = json.loads(source)
     found = _instances(doc, field)
     container, key = found[instance % len(found)]
     if value is _DROP:
@@ -276,3 +278,73 @@ def test_malformed_diagrams_keep_the_exit_code_contract(case):
             ["lift", str(path)],
             ["lift", "--type", dtype.value, "--system", "fuzz", str(path)],
         ])
+
+
+# ---------------------------------------------------------------- report
+
+
+def _stdout(*argv: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+FRAGMENT = _stdout(*_score_argv(str(DESK / "rules.txt"), str(DESK / "aliases.txt")), "--json")
+FRAGMENT_FIELDS = sorted(_fields(json.loads(FRAGMENT)))
+# numbers past a float's range, or that format oddly, beside one value of each JSON type
+_FRAGMENT_VALUES = (*_WRONG_VALUES, 10**400, -(10**400), float("nan"), float("inf"), -1, 1e308)
+FRAGMENT_TOKENS = ('"raw":', '"ordinal":', '"metrics":', "{", "}", "[", "]", ",", "NaN",
+                   "1e999", "-0", "null", '"C"')
+
+
+@st.composite
+def mutated_fragments(draw: st.DrawFn) -> bytes:
+    how = draw(st.sampled_from(("text", "drop", "retype")))
+    if how == "text":
+        return draw(mutated_text(FRAGMENT, _lines_of(FRAGMENT_TOKENS)))
+    field = draw(st.sampled_from(FRAGMENT_FIELDS))
+    value = _DROP if how == "drop" else draw(st.sampled_from(_FRAGMENT_VALUES))
+    return _edited(field, draw(st.integers(0, 50)), value, FRAGMENT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_fragments(), st.booleans())
+def test_malformed_report_fragments_keep_the_exit_code_contract(blob, mutated_side_a):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good = Path(tmp) / "bad.json", Path(tmp) / "good.json"
+        bad.write_bytes(blob)
+        good.write_bytes(FRAGMENT)
+        a, b = (bad, good) if mutated_side_a else (good, bad)
+        _check_codes([
+            ["report", "--a", str(a), "--b", str(b)],
+            ["report", "--a", str(a), str(good), "--b", str(b), "--json",
+             "--output", str(Path(tmp) / "report.json"), "--markdown", str(Path(tmp) / "r.md")],
+        ])
+
+
+# ---------------------------------------------------------------- assemble
+
+SLOT = "Technical documentation: the Örder service owns {order} state.\n".encode("utf-8")
+SLOT_TOKENS = ("[INSERT TD]", "[INSERT", "]", "{td}", "{", "}", "<<<SECTION: X>>>", "\\1",
+               "\\g<0>", "%s", "\t")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_text(SLOT, _lines_of(SLOT_TOKENS)), mutated_models(),
+       st.sampled_from(("business-alignment", "scope", "service-structure", "api-workflow",
+                        "schema-migration", "deployment-config")))
+def test_malformed_assemble_inputs_keep_the_exit_code_contract(slot, model, purpose):
+    with tempfile.TemporaryDirectory() as tmp:
+        slot_path, model_path = Path(tmp) / "td.txt", Path(tmp) / "model.archmeta.json"
+        slot_path.write_bytes(slot)
+        model_path.write_bytes(model)
+        out = str(Path(tmp) / "prompt.txt")
+        _check_codes([["assemble", "--process", "A", "--stage", "td-to-bd",
+                       "--slot", f"td={slot_path}", "--output", out]])
+        code = _run("assemble", "--process", "B", "--stage", "td-to-bd",
+                    "--slot", "td_and_diagrams=@context", "--context-model", str(model_path),
+                    "--purpose", purpose, "--output", out, "--json")
+        assert code in (0, 1, 2)
+        if _rejected(model):
+            assert code == 2

@@ -233,6 +233,10 @@ def test_context_isolation_allowed_pairs_escape():
         params={"allowed_pairs": [["bc-b", "bc-a"]]},  # pairs are directed
     )
     assert evaluate_constraint(model, wrong_way).status == "violated"
+    # a null param is an absent one, as for every optional param
+    unset = Constraint(id="ctx", kind=ConstraintKind.context_isolation,
+                       params={"allowed_pairs": None})
+    assert evaluate_constraint(model, unset).instances == ("bad-context",)
 
 
 def test_cqrs_reports_each_shared_store_once():

@@ -135,6 +135,19 @@ def test_scan_deduplicates_normalized_name_kind(tmp_path):
     assert names == [("Component", "OrderService"), ("Module", "order_service")]
 
 
+def test_double_star_glob_never_lists_the_root(desk_dir):
+    codebase = desk_dir / "codebase"
+    every_dir = scan_expected(codebase, "version 1\n**/ -> Component\n")
+    origins = sorted(e.origin for e in every_dir)
+    assert "./" not in origins and codebase.name not in {e.name for e in every_dir}
+    below = sorted(p.relative_to(codebase).as_posix() + "/"
+                   for p in codebase.rglob("*") if p.is_dir())
+    assert origins == below
+    # "**" still matches zero directories below the root, as in any glob
+    services = scan_expected(codebase, "version 1\nservices/**/ -> Component\n")
+    assert "services/" in {e.origin for e in services}
+
+
 def test_scan_rejects_unreadable_root(tmp_path):
     with pytest.raises(UnreadableRootError):
         scan_expected(tmp_path / "ghost", "version 1\nx/*/ -> Component\n")

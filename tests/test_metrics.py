@@ -455,3 +455,31 @@ def test_markdown_table_lists_all_metrics():
     for key in METRIC_KEYS:
         assert any(f"({key})" in line and METRIC_LABELS[key] in line for line in lines)
     assert "| Completeness (C) | 0.9200 | 4.6 |" in lines
+
+
+# ---------------------------------------------------------------- pipeline
+
+
+def test_score_architecture_is_the_score_command(cli, desk_dir, original_model,
+                                                 process_a_model, process_b_model):
+    from archmeta import score_architecture
+    from archmeta.constraints import load_preset_constraints
+    from archmeta.extract import load_aliases, scan_expected
+
+    artifacts = sorted((desk_dir / "artifacts").iterdir())
+    report = score_architecture(
+        process_b_model, original_model, process_a_model,
+        scan_expected(desk_dir / "codebase", (desk_dir / "rules.txt").read_text("utf-8")),
+        load_aliases((desk_dir / "aliases.txt").read_text("utf-8")),
+        [(p.name, p.read_text("utf-8")) for p in artifacts],
+        process_b_model.constraints or load_preset_constraints(),
+    )
+    argv = ["score", "--model", str(desk_dir / "process_b.archmeta.json"),
+            "--reference", str(desk_dir / "original.archmeta.json"),
+            "--baseline", str(desk_dir / "process_a.archmeta.json"),
+            "--codebase", str(desk_dir / "codebase"), "--rules", str(desk_dir / "rules.txt"),
+            "--artifacts", str(desk_dir / "artifacts"), "--aliases", str(desk_dir / "aliases.txt")]
+    assert report.to_markdown() == cli(*argv).out
+    fragment = json.loads(cli(*argv, "--json").out)
+    del fragment["inputs"]["config"]  # the command's flags, which the library never sees
+    assert json.loads(report.to_canonical_fragment()) == fragment

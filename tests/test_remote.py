@@ -9,8 +9,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from archmeta.diagrams.canonical import loads_model
 from archmeta.errors import EndpointProtocolError
-from archmeta.metrics.embedding import cosine
+from archmeta.metrics.embedding import cosine, dense_vector
+from archmeta.metrics.scores import document_groups, group_cosines
 from archmeta.remote import (
     EMBED_ENDPOINT_VAR,
     LLM_ENDPOINT_VAR,
@@ -150,10 +152,14 @@ def test_score_embeds_each_shared_group_once(stub, stub_server, cli, desk_dir, m
     monkeypatch.setenv(EMBED_ENDPOINT_VAR, f"{stub_server}/embed-score")
     result = cli(*_score_argv(desk_dir), "--json")
     assert result.code == 0, result.err
-    cosines = json.loads(result.out)["inputs"]["SF"]["group_cosines"]
-    assert len(cosines) == 3
-    # one request per text: the reference's and the model's, once per group
-    assert stub.hits["/embed-score"] == 2 * len(cosines)
+    sf = json.loads(result.out)["inputs"]["SF"]
+    assert sf["provider"] == {"provider": f"{stub_server}/embed-score", "dimension": 2}
+    groups = [document_groups(loads_model((desk_dir / name).read_text("utf-8")))
+              for name in ("original.archmeta.json", "process_b.archmeta.json")]
+    cosines = group_cosines(*groups, lambda text: dense_vector([float(len(text)), 1.0]))
+    assert sf["group_cosines"] == cosines and len(cosines) == 3
+    # one request for every text of both models
+    assert stub.hits["/embed-score"] == 1
 
 
 def test_endpoints_read_from_environment(monkeypatch):
