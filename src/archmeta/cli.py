@@ -10,6 +10,7 @@ reports behind. Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -28,14 +29,26 @@ class UsageError(ArchmetaError):
 
 
 def _write_atomic(path: str | Path, text: str) -> None:
-    import tempfile
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+
+    A new file gets the mode `open(path, "w")` would give it (0o666 less the
+    umask, applied by the system); a replaced file keeps its own mode."""
+    import stat
 
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        keep = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        keep = None
+    tmp_name = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL: never write through a file or a link that is already there
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        if keep is not None:
+            os.chmod(tmp_name, keep)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -600,6 +613,17 @@ _parser: argparse.ArgumentParser | None = None  # built by the first main call
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    The command runs with Python's cyclic garbage collector paused
+    (`gc.disable()`): the models it builds are large and acyclic, and the
+    collector would otherwise walk all of them again on every older-generation
+    pass. Reference counting still frees what a command drops, since the
+    program's own objects form no reference cycles. The pause is process-wide
+    but lasts only for the command: afterwards the collector is switched back
+    on if it was on before, and nothing is collected here. Library calls never
+    pause it.
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
@@ -607,6 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         _parser.print_usage(sys.stderr)
         return 2
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         # looked up at call time, so a rebound cmd_* (a wrapper, a test double) is the one run
         return globals()[f"cmd_{args.command}"](args)
@@ -616,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -71,6 +71,9 @@ def validate_constraint_params(constraint: Constraint) -> None:
             raise InvalidConstraintParamsError(cid, f"unknown scope key: {key!r}")
     if "layers" in constraint.scope:
         _require_layer_list(cid, list(constraint.scope["layers"]), "scope.layers")
+    for item in constraint.scope.get("entities", ()):
+        if not isinstance(item, str):
+            raise InvalidConstraintParamsError(cid, f"scope.entities holds a non-string id: {item!r}")
 
     params = dict(constraint.params)
     kind = constraint.kind

@@ -16,6 +16,7 @@ record names the same field whatever else is wrong with it.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, Mapping
@@ -282,11 +283,14 @@ def parse_canonical(text: str, strict: bool = True) -> tuple[list[DiagramElement
 # json.dumps falls back to its pure-Python encoder whenever indent is set.
 # Here each fixed-shape record fills a template, strings go through the C
 # string encoder, and only the free-form attributes, scope and params go
-# through json.dumps, indented to their depth. All pieces are joined once, so
-# no intermediate whole-document string is built.
+# through json.dumps, all of a model's in one call, indented to their depth
+# (each indenting call leaves a reference cycle of the encoder's closures,
+# which only the cyclic collector frees). All pieces are joined once, so no
+# intermediate whole-document string is built.
 
 _str = encode_basestring
 _FREE_PAD = "\n      "  # depth of a record's fields: top object > array > record
+_ITEM_BREAK = re.compile(r",\n  (?! )")
 
 _ENTITY_JSON = (',\n    {\n      "id": %s,\n      "kind": %s,\n      "name": %s,'
                 '\n      "layer": %s,\n      "layer_override": %s,\n      "description": %s,'
@@ -300,13 +304,19 @@ _DIAGRAM_JSON = (',\n    {\n      "name": %s,\n      "type": %s,\n      "format"
                  '\n      "source_digest": %s\n    }')
 
 
-def _free(value: Any) -> str:
-    """A free-form JSON value as json.dumps(indent=2) writes it at field depth.
+def _free_each(values: list[Any]) -> list[str]:
+    """Each free-form JSON value as json.dumps(indent=2) writes it, at field
+    depth, from one json.dumps call over the list of them.
 
-    Re-indenting by replacing newlines is exact: encoded strings never hold a
-    raw newline.
+    The list is written "[\n  v1,\n  v2\n]". A top-level item starts after
+    ",\n  " and a non-space, since deeper lines are indented further; and
+    adding four spaces after each newline re-indents an item exactly. Both
+    hold because encoded strings never hold a raw newline.
     """
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", _FREE_PAD)
+    if not values:
+        return []
+    text = json.dumps(values, indent=2, ensure_ascii=False)
+    return [item.replace("\n  ", _FREE_PAD) for item in _ITEM_BREAK.split(text[4:-2])]
 
 
 def _sorted_mapping(mapping: Mapping[Any, Any]) -> dict[Any, Any]:
@@ -331,14 +341,21 @@ def _array(parts: list[str], key: str, records: list[str]) -> None:
 
 
 def dumps_model(model: Metamodel) -> str:
+    entities = sorted(model.entities, key=attrgetter("id"))
+    constraints = sorted(model.constraints, key=attrgetter("id"))
+    # every free-form value in document order, taken back one by one below
+    free = iter(_free_each([
+        *(_sorted_mapping(e.attributes) for e in entities if e.attributes),
+        *(value for c in constraints for value in (_scope(c.scope), _sorted_mapping(c.params))),
+    ]))
     parts = ['{\n  "schema_version": ', _str(SCHEMA_VERSION), ',\n  "system": ', _str(model.system)]
     _array(parts, "entities", [
         _ENTITY_JSON % (
             _str(e.id), _str(e.kind.value), _str(e.name), _str(e.layer.name),
             "true" if e.layer_override else "false", _str(e.description),
-            _free(_sorted_mapping(e.attributes)) if e.attributes else "{}",
+            next(free) if e.attributes else "{}",
         )
-        for e in sorted(model.entities, key=attrgetter("id"))
+        for e in entities
     ])
     _array(parts, "relations", [
         _RELATION_JSON % (_str(r.id), _str(r.source), _str(r.target), _str(r.kind.value),
@@ -350,9 +367,8 @@ def dumps_model(model: Metamodel) -> str:
         for t in sorted(model.traces, key=lambda t: (t.mapping_class.value, t.source, t.target))
     ])
     _array(parts, "constraints", [
-        _CONSTRAINT_JSON % (_str(c.id), _str(c.kind.value), _free(_scope(c.scope)),
-                            _free(_sorted_mapping(c.params)))
-        for c in sorted(model.constraints, key=attrgetter("id"))
+        _CONSTRAINT_JSON % (_str(c.id), _str(c.kind.value), next(free), next(free))
+        for c in constraints
     ])
     _array(parts, "diagrams", [
         _DIAGRAM_JSON % (_str(d.name), _str(d.type), _str(d.format), _str(d.source_digest))

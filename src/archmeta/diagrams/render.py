@@ -186,7 +186,16 @@ def _emit_plantuml_component(
         parent_of[rel.target] = rel.source
         children.setdefault(rel.source, []).append(rel.target)
 
-    def emit_entity(eid: str, indent: str) -> None:
+    # depth first in entity order, children in relation order; an explicit
+    # stack, so a package chain of any depth renders. None closes a package.
+    stack: list[tuple[str | None, str]] = [
+        (entity.id, "") for entity, _ in reversed(entities) if entity.id not in parent_of
+    ]
+    while stack:
+        eid, indent = stack.pop()
+        if eid is None:
+            lines.append(f"{indent}}}")
+            continue
         entity, cls = by_id[eid]
         ident = idents[eid]
         if cls == "package":
@@ -195,17 +204,11 @@ def _emit_plantuml_component(
             if _clean_display(entity.name, '"', strict, notation) != ident:
                 _skip(notes, strict, notation, f"package display name {entity.name!r}")
             lines.append(f"{indent}package {ident} {{")
-            for child in children.get(eid, ()):
-                emit_entity(child, indent + "  ")
-            lines.append(f"{indent}}}")
-            return
+            stack.append((None, indent))
+            stack.extend((child, indent + "  ") for child in reversed(children.get(eid, ())))
+            continue
         display = _clean_display(entity.name, '"', strict, notation)
         lines.append(f'{indent}{cls} "{display}" as {ident}')
-
-    for entity, cls in entities:
-        if entity.id in parent_of:
-            continue
-        emit_entity(entity.id, "")
 
     for rel, cls in kept_relations:
         src, tgt = idents[rel.source], idents[rel.target]

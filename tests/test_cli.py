@@ -182,6 +182,7 @@ MALFORMED_CATALOGS = [
     {"constraints": [{"id": "x", "kind": "bogus"}]},
     {"constraints": [{"kind": "acyclicity"}]},
     {"constraints": ["acyclicity"]},
+    {"constraints": [{"id": "x", "kind": "acyclicity", "scope": {"entities": [["a"]]}}]},
 ]
 
 

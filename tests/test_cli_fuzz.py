@@ -6,7 +6,8 @@ field dropped, a field given a value of the wrong type) go through
 `extract` and `score`; mutated PlantUML and Mermaid views of the desk
 original model go through `parse` and `lift`; mutated score fragments go
 through `report`; mutated slot files and context models go through
-`assemble`. Every call runs via
+`assemble`; a mutated model, artifact file or constraint catalog goes through
+`score`. Every call runs via
 `archmeta.cli.main`. Whatever the bytes, no exception may escape and the
 exit code must be 0, 1 or 2; a model file that `loads_model` rejects (or
 that is not UTF-8) must exit 2.
@@ -19,11 +20,13 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from archmeta.cli import main
+from archmeta.constraints import constraints_from_json
 from archmeta.diagrams import DiagramType, loads_model, render_diagram_view
 from archmeta.diagrams.render import view_format
 from archmeta.errors import ArchmetaError
@@ -100,9 +103,10 @@ def mutated_models(draw: st.DrawFn) -> bytes:
     return _edited(field, instance, value)
 
 
-def _rejected(blob: bytes) -> bool:
+def _rejected(blob: bytes, load: Callable[[str], object] = loads_model) -> bool:
+    """Whether `load` refuses the bytes as input (or they are not UTF-8)."""
     try:
-        loads_model(blob.decode("utf-8"))
+        load(blob.decode("utf-8"))
     except (UnicodeDecodeError, ArchmetaError):
         return True
     return False
@@ -291,7 +295,6 @@ def _stdout(*argv: str) -> bytes:
 
 
 FRAGMENT = _stdout(*_score_argv(str(DESK / "rules.txt"), str(DESK / "aliases.txt")), "--json")
-FRAGMENT_FIELDS = sorted(_fields(json.loads(FRAGMENT)))
 # numbers past a float's range, or that format oddly, beside one value of each JSON type
 _FRAGMENT_VALUES = (*_WRONG_VALUES, 10**400, -(10**400), float("nan"), float("inf"), -1, 1e308)
 FRAGMENT_TOKENS = ('"raw":', '"ordinal":', '"metrics":', "{", "}", "[", "]", ",", "NaN",
@@ -299,17 +302,20 @@ FRAGMENT_TOKENS = ('"raw":', '"ordinal":', '"metrics":', "{", "}", "[", "]", ","
 
 
 @st.composite
-def mutated_fragments(draw: st.DrawFn) -> bytes:
+def mutated_documents(draw: st.DrawFn, source: bytes, values: tuple, tokens: tuple[str, ...]
+                      ) -> bytes:
+    """A JSON document's text mutated, or one instance of one of its fields
+    dropped or set to one of values."""
     how = draw(st.sampled_from(("text", "drop", "retype")))
     if how == "text":
-        return draw(mutated_text(FRAGMENT, _lines_of(FRAGMENT_TOKENS)))
-    field = draw(st.sampled_from(FRAGMENT_FIELDS))
-    value = _DROP if how == "drop" else draw(st.sampled_from(_FRAGMENT_VALUES))
-    return _edited(field, draw(st.integers(0, 50)), value, FRAGMENT)
+        return draw(mutated_text(source, _lines_of(tokens)))
+    field = draw(st.sampled_from(sorted(_fields(json.loads(source)))))
+    value = _DROP if how == "drop" else draw(st.sampled_from(values))
+    return _edited(field, draw(st.integers(0, 50)), value, source)
 
 
 @settings(max_examples=150, deadline=None)
-@given(mutated_fragments(), st.booleans())
+@given(mutated_documents(FRAGMENT, _FRAGMENT_VALUES, FRAGMENT_TOKENS), st.booleans())
 def test_malformed_report_fragments_keep_the_exit_code_contract(blob, mutated_side_a):
     with tempfile.TemporaryDirectory() as tmp:
         bad, good = Path(tmp) / "bad.json", Path(tmp) / "good.json"
@@ -348,3 +354,64 @@ def test_malformed_assemble_inputs_keep_the_exit_code_contract(slot, model, purp
         assert code in (0, 1, 2)
         if _rejected(model):
             assert code == 2
+
+
+# ---------------------------------------------------------------- score inputs
+
+_ENTITY_IDS = [entity["id"] for entity in DOCUMENT["entities"][:3]]
+# the desk model's own catalog (a catalog spells an empty scope by leaving it
+# out, not as null) plus an entry for each param and scope shape it lacks
+CATALOG = json.dumps({"constraints": [
+    *({k: v for k, v in entry.items() if v is not None} for entry in DOCUMENT["constraints"]),
+    {"id": "grouped-direction", "kind": "dependency-direction", "params": {"groups": [
+        {"name": "inner", "layers": ["Business", "BusinessConceptual"]},
+        {"name": "outer", "layers": ["System", "Implementation"]},
+    ]}},
+    {"id": "paired-contexts", "kind": "context-isolation",
+     "params": {"allowed_pairs": [_ENTITY_IDS[:2]]}},
+    {"id": "picked-acyclic", "kind": "acyclicity",
+     "scope": {"entities": _ENTITY_IDS, "layers": ["System"]}},
+]}, indent=1).encode("utf-8")
+CATALOG_TOKENS = ('"constraints":', '"id":', '"kind":', '"scope":', '"params":', '"layers":',
+                  '"entities":', '"groups":', '"allowed_pairs":', '"relation_kinds":',
+                  '"acyclicity"', '"System"', "{", "}", "[", "]", ",", "null", "0", '"x"')
+
+
+def _score_on(model: str, artifacts: str, constraints: str | None) -> list[str]:
+    argv = _score_argv(str(DESK / "rules.txt"), str(DESK / "aliases.txt"))
+    argv[argv.index("--model") + 1] = model
+    argv[argv.index("--artifacts") + 1] = artifacts
+    return argv + (["--constraints", constraints] if constraints else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    mutated_models().map(lambda blob: ("model", blob)),
+    st.sampled_from(VIEWS).flatmap(lambda view: mutated_text(view[1], _lines_of(DIAGRAM_TOKENS))
+                                   .map(lambda blob: (f"view{view[2]}", blob))),
+    mutated_documents(CATALOG, _WRONG_VALUES, CATALOG_TOKENS).map(lambda blob: ("catalog", blob)),
+))
+def test_malformed_score_inputs_keep_the_exit_code_contract(case):
+    # one input mutated at a time: the model, the --constraints catalog or one artifact file
+    target, blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        model = str(DESK / "process_b.archmeta.json")
+        artifacts = str(DESK / "artifacts")
+        catalog = Path(tmp) / "catalog.json"
+        catalog.write_bytes(CATALOG)
+        if target == "model":
+            model = str(Path(tmp) / "model.archmeta.json")
+            Path(model).write_bytes(blob)
+        elif target == "catalog":
+            catalog.write_bytes(blob)
+        else:  # target names the one artifact file
+            artifacts = str(Path(tmp) / "artifacts")
+            Path(artifacts).mkdir()
+            (Path(artifacts) / target).write_bytes(blob)
+        codes = [_run(*_score_on(model, artifacts, None)),
+                 _run(*_score_on(model, artifacts, str(catalog)), "--json")]
+        assert set(codes) <= {0, 1, 2}, codes
+        if target == "model" and _rejected(blob):
+            assert codes == [2, 2]
+        if target == "catalog" and _rejected(blob, constraints_from_json):
+            assert codes[1] == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from archmeta.model import (
     RelationKind,
     layer_of,
 )
-from tests.support.strategies import random_model
+from tests.support.strategies import random_containment_dag, random_model, random_nested_model
 
 
 def test_table_covers_every_diagram_type():
@@ -208,3 +209,25 @@ def test_every_view_renders_to_liftable_text(dtype, original_model):
     allowed = view_entity_kinds(dtype)
     for ent in frag.entities:
         assert ent.kind in allowed
+
+
+# sha256 over every view, strict and lenient, of the three desk models and 100
+# seeds each of random_nested_model and random_containment_dag (121 nested
+# package lines among them); a strict view that raises contributes its error
+VIEWS_DIGEST = "87af48fd56e85d3c5b37f3dae8598348fe913e6850f9ef206b0dcf1ac62b7314"
+
+
+def test_rendered_views_are_pinned(original_model, process_a_model, process_b_model):
+    models = [original_model, process_a_model, process_b_model]
+    models += [random_nested_model(random.Random(seed)) for seed in range(100)]
+    models += [random_containment_dag(random.Random(seed)) for seed in range(100)]
+    digest = hashlib.sha256()
+    for model in models:
+        for dtype in DiagramType:
+            for strict in (False, True):
+                try:
+                    text = render_diagram_view(model, dtype, strict)
+                except Exception as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{dtype.value}|{strict}|".encode() + text.encode() + b"\0")
+    assert digest.hexdigest() == VIEWS_DIGEST
