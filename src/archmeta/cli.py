@@ -75,8 +75,10 @@ def _read_text(path: str | Path, flag: str, errors: str = "strict") -> str:
 
 
 def _read_json(path: str | Path, flag: str) -> Any:
+    from .jsonin import decode_json
+
     try:
-        return json.loads(_read_text(path, flag))
+        return decode_json(_read_text(path, flag))
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{flag}: not valid JSON: {path} (line {exc.lineno}, col {exc.colno}: {exc.msg})"
@@ -445,7 +447,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
         else:
             inputs[name] = _read_text(source, "--slot")
     rendered = assemble_prompt(args.process, args.stage, inputs)
-    output = args.output or prompt_filename(args.process, args.stage)
+    output = args.output or prompt_filename(args.process, args.stage, rendered)
     _write_atomic(output, rendered)
     payload = {
         "schema_version": "1.0",

@@ -16,6 +16,7 @@ from importlib import resources
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import InvalidConstraintParamsError, NoConstraintsDefinedError
+from .jsonin import decode_json
 from .model import (
     AbstractionLayer,
     Constraint,
@@ -33,6 +34,9 @@ DEFAULT_DIRECTION_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("System", ("System", "SystemPattern", "SystemStructural", "SystemRuntime", "Runtime")),
     ("Business", ("Business", "BusinessConceptual", "BusinessSystem")),
 )
+
+# The relation kinds acyclicity checks when its params name none.
+DEFAULT_ACYCLIC_KINDS: tuple[str, ...] = ("dependency",)
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def _strongly_connected(nodes: set[str], out_edges: dict[str, list[str]]) -> lis
 
 
 def _eval_acyclicity(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
-    kind_names = constraint.params.get("relation_kinds") or ("dependency",)
+    kind_names = constraint.params.get("relation_kinds") or DEFAULT_ACYCLIC_KINDS
     kinds = {RelationKind(k) for k in kind_names}
     nodes: set[str] = set()
     out_edges: dict[str, list[str]] = {}
@@ -289,7 +293,9 @@ def _eval_context_isolation(model: Metamodel, constraint: Constraint, in_scope: 
     return _crossings_off_api(model, in_scope, EntityKind.BoundedContext, allowed_pairs)
 
 
-def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
+def shared_stores(model: Metamodel, in_scope: set[str] | None) -> list[str]:
+    """DataStores written by a Command and read by a Query (dependency or
+    data flow), sorted; None scope means the whole model."""
     written: set[str] = set()
     read: set[str] = set()
     for rel in _scoped_relations(model, in_scope, _DEP_OR_DATA):
@@ -302,6 +308,10 @@ def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: se
         elif source_kind is EntityKind.Query:
             read.add(rel.target)
     return sorted(written & read)
+
+
+def _eval_cqrs_separation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
+    return shared_stores(model, in_scope)
 
 
 def _eval_interface_mediation(model: Metamodel, constraint: Constraint, in_scope: set[str] | None) -> list[str]:
@@ -366,7 +376,9 @@ def _constraint_entry(obj: object, position: int) -> Constraint:
         kind = ConstraintKind(obj.get("kind"))
     except ValueError:
         raise InvalidConstraintParamsError(cid, f"unknown kind: {obj.get('kind')!r}") from None
-    scope = obj.get("scope", {})
+    scope = obj.get("scope")
+    if scope is None:
+        scope = {}  # dumps_model writes an empty scope as null
     if not isinstance(scope, dict) or not all(isinstance(v, list) for v in scope.values()):
         raise InvalidConstraintParamsError(cid, "scope must be an object of lists")
     params = obj.get("params", {})
@@ -382,7 +394,7 @@ def constraints_from_json(text: str) -> tuple[Constraint, ...]:
     and NoConstraintsDefinedError for an empty catalog.
     """
     try:
-        raw = json.loads(text)
+        raw = decode_json(text)
     except json.JSONDecodeError as exc:
         raise InvalidConstraintParamsError("(catalog)", f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("constraints"), list):

@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import Any, Mapping
 
 from ..errors import DiagramSyntaxError
+from ..jsonin import decode_json
 from ..model import (
     AbstractionLayer,
     Constraint,
@@ -218,7 +219,7 @@ def _diagram_ref_from(obj: Any, strict: bool) -> DiagramRef:
 
 def _document(text: str, strict: bool) -> dict[str, Any]:
     try:
-        doc = json.loads(text)
+        doc = decode_json(text)
     except json.JSONDecodeError as exc:
         raise DiagramSyntaxError(exc.lineno, exc.colno, "valid JSON") from None
     if not isinstance(doc, dict):

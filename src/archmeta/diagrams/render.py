@@ -10,12 +10,15 @@ render_diagram_view() produces one of the 18 typed views. Construct selection
 is the inverse of the lifting table: an entity kind or relation kind appears
 in the output only when the view's notation has a construct that the table
 lifts back to it, so render -> parse -> lift is stable for everything shown.
+Each view type's inverse is worked out once per process, as one cached plan
+that the view's emitter and view_entity_kinds() both read.
 strict=True raises UnrepresentableConstructError instead of dropping.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+import functools
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..errors import UnrepresentableConstructError
 from ..model import (
@@ -61,9 +64,11 @@ NOTATION_FORMAT = {
 }
 
 # Element classes a notation can declare, in preference order, and the edge
-# classes its arrow/relationship constructs parse back to.
+# classes its arrow/relationship constructs parse back to. Only the component
+# notation writes package blocks; "package" comes last, so it writes a kind
+# only when no other class lifts to that kind.
 _NOTATION_ELEMENT_CLASSES: dict[str, tuple[str, ...]] = {
-    "plantuml-component": ("component", "database", "actor", "interface", "queue"),
+    "plantuml-component": ("component", "database", "actor", "interface", "queue", "package"),
     "plantuml-class": ("class", "interface"),
     "plantuml-sequence": ("participant", "actor"),
     "plantuml-state": ("state",),
@@ -154,37 +159,25 @@ def _emit_plantuml_component(
     entities: list[tuple[Entity, str]],
     relations: list[tuple[Relation, str]],
     idents: Mapping[str, str],
-    package_kind: EntityKind | None,
-    containment_ok: bool,
     strict: bool,
     notes: list[str],
 ) -> str:
     notation = "plantuml-component"
     lines = ["@startuml"]
-    # containment nesting is expressible only through package blocks whose
-    # parent lifts back from the package class
+    # containment nesting is expressible only through package blocks: each
+    # child nests once, under a parent written with the package class
     children: dict[str, list[str]] = {}
     parent_of: dict[str, str] = {}
-    rendered_ids = {e.id for e, _ in entities}
     kept_relations: list[tuple[Relation, str]] = []
     by_id = {e.id: (e, cls) for e, cls in entities}
     for rel, cls in relations:
         if cls != "containment":
             kept_relations.append((rel, cls))
-            continue
-        ok = (
-            containment_ok
-            and package_kind is not None
-            and rel.source in rendered_ids
-            and rel.target in rendered_ids
-            and rel.target not in parent_of
-            and by_id[rel.source][1] == "package"
-        )
-        if not ok:
+        elif rel.target in parent_of or by_id[rel.source][1] != "package":
             _skip(notes, strict, notation, "containment relation")
-            continue
-        parent_of[rel.target] = rel.source
-        children.setdefault(rel.source, []).append(rel.target)
+        else:
+            parent_of[rel.target] = rel.source
+            children.setdefault(rel.source, []).append(rel.target)
 
     # depth first in entity order, children in relation order; an explicit
     # stack, so a package chain of any depth renders. None closes a package.
@@ -345,38 +338,35 @@ def _emit_mermaid_er(
 
 # ---------------------------------------------------------------- typed views
 
-def _view_plan(dtype: DiagramType, notation: str) -> tuple[dict[EntityKind, str], dict[RelationKind, str], EntityKind | None]:
+class _ViewPlan(NamedTuple):
+    entity_class: dict[EntityKind, str]  # kind -> the notation's element class
+    relation_class: dict[RelationKind, str]  # kind -> the notation's edge class
+    kinds: frozenset[EntityKind]  # every kind the view's vocabulary lifts to
+
+
+@functools.cache
+def _view_plan(dtype: DiagramType) -> _ViewPlan:
     """Invert the lifting table for one view: kind -> construct class."""
+    notation = _VIEW_NOTATION[dtype]
     rules = load_lifting_table()["diagram_types"][dtype.value]
-    element_classes = _NOTATION_ELEMENT_CLASSES[notation]
-    kind_to_class: dict[EntityKind, str] = {}
-    for cls in element_classes:
-        rule = rules["elements"].get(cls)
-        if rule is None or rule.get("action") == "ignore":
-            continue
-        kind = EntityKind(rule["kind"])
-        kind_to_class.setdefault(kind, cls)
-    package_rule = rules["elements"].get("package")
-    package_kind = None
-    # only the component emitter can write package blocks
-    if (
-        notation == "plantuml-component"
-        and package_rule is not None
-        and package_rule.get("action") != "ignore"
-    ):
-        package_kind = EntityKind(package_rule["kind"])
-        # a kind only reachable through packages still belongs in the view
-        kind_to_class.setdefault(package_kind, "package")
-    rel_to_class: dict[RelationKind, str] = {}
+    lifted = {
+        cls: EntityKind(rule["kind"])
+        for cls, rule in rules["elements"].items()
+        if rule.get("action") != "ignore"
+    }
+    entity_class: dict[EntityKind, str] = {}
+    for cls in _NOTATION_ELEMENT_CLASSES[notation]:
+        if cls in lifted:
+            entity_class.setdefault(lifted[cls], cls)
+    relation_class: dict[RelationKind, str] = {}
     for cls in _NOTATION_EDGE_CLASSES[notation]:
-        kind_name = rules["edges"].get(cls)
-        if kind_name is None:
-            continue
-        rel_to_class.setdefault(RelationKind(kind_name), cls)
-    return kind_to_class, rel_to_class, package_kind
+        if cls in rules["edges"]:
+            relation_class.setdefault(RelationKind(rules["edges"][cls]), cls)
+    return _ViewPlan(entity_class, relation_class, frozenset(lifted.values()))
 
 
 _EMITTERS: dict[str, Callable] = {
+    "plantuml-component": _emit_plantuml_component,
     "plantuml-class": _emit_plantuml_class,
     "plantuml-sequence": _emit_plantuml_sequence,
     "plantuml-state": _emit_plantuml_state,
@@ -395,28 +385,21 @@ def view_format(dtype: DiagramType) -> DiagramFormat:
 
 def view_entity_kinds(dtype: DiagramType) -> frozenset[EntityKind]:
     """All entity kinds the view's lifting vocabulary can produce."""
-    rules = load_lifting_table()["diagram_types"][dtype.value]
-    kinds = set()
-    for rule in rules["elements"].values():
-        if rule.get("action") == "ignore":
-            continue
-        kinds.add(EntityKind(rule["kind"]))
-    return frozenset(kinds)
+    return _view_plan(dtype).kinds
 
 
 def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = False) -> str:
     """Write the slice of the model this view type covers, in its notation."""
     notation = _VIEW_NOTATION[dtype]
-    kind_to_class, rel_to_class, package_kind = _view_plan(dtype, notation)
+    entity_class, relation_class, kinds = _view_plan(dtype)
     notes: list[str] = []
 
     entities: list[tuple[Entity, str]] = []
-    viewable_kinds = view_entity_kinds(dtype)
     for entity in model.entities:
-        cls = kind_to_class.get(entity.kind)
+        cls = entity_class.get(entity.kind)
         if cls is not None:
             entities.append((entity, cls))
-        elif entity.kind in viewable_kinds:
+        elif entity.kind in kinds:
             # liftable into this view but not expressible by its notation
             _skip(notes, strict, notation, f"entity kind {entity.kind.value}")
     rendered = {e.id for e, _ in entities}
@@ -425,7 +408,7 @@ def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = Fal
     for rel in model.relations:
         if rel.source not in rendered or rel.target not in rendered:
             continue
-        cls = rel_to_class.get(rel.kind)
+        cls = relation_class.get(rel.kind)
         if cls is None:
             _skip(notes, strict, notation, f"relation kind {rel.kind.value}")
             continue
@@ -433,13 +416,6 @@ def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = Fal
 
     allowed = _MERMAID_IDENT_OK if notation.startswith("mermaid") else _PLANTUML_IDENT_OK
     idents = _ident_map((e.id for e, _ in entities), allowed)
-    if notation == "plantuml-component":
-        return _emit_plantuml_component(
-            entities, relations, idents, package_kind,
-            containment_ok="containment" in _NOTATION_EDGE_CLASSES[notation]
-            and "containment" in load_lifting_table()["diagram_types"][dtype.value]["edges"],
-            strict=strict, notes=notes,
-        )
     return _EMITTERS[notation](entities, relations, idents, strict, notes)
 
 

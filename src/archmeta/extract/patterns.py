@@ -9,9 +9,9 @@ edits that break the signature drop the pattern rather than degrade it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
-from ..constraints import DEFAULT_DIRECTION_GROUPS
+from ..constraints import DEFAULT_DIRECTION_GROUPS, shared_stores
 from ..model import AbstractionLayer, EntityKind, Metamodel, RelationKind
 
 LAYERED_MIN_LAYERS = 2
@@ -19,8 +19,9 @@ MICROSERVICES_MIN_CONTAINERS = 2
 FACADE_MIN_CLIENTS = 3
 FACADE_MIN_DELEGATES = 2
 
-# coarse group ordinal, business innermost: the dependency-direction groups,
-# which list the outermost first
+# the layer ordinal, and the coarse group ordinal, business innermost: the
+# dependency-direction groups, which list the outermost first
+_LAYER_ORDER = {layer: int(layer) for layer in AbstractionLayer}
 _GROUP_ORDER = {
     AbstractionLayer[layer]: rank
     for rank, (_name, layers) in enumerate(reversed(DEFAULT_DIRECTION_GROUPS))
@@ -47,65 +48,39 @@ def _dependency_and_data_edges(model: Metamodel):
     return by_kind[RelationKind.dependency] + by_kind[RelationKind.data_flow]
 
 
-def _detect_layered(model: Metamodel) -> PatternHit | None:
-    deps = _dependency_edges(model)
-    if not deps:
-        return None
-    layers = {int(e.layer) for e in model.entities}
-    if len(layers) < LAYERED_MIN_LAYERS:
-        return None
+def _downward(model: Metamodel, name: str, rank: Mapping[AbstractionLayer, int]) -> PatternHit | None:
+    """Fires when no dependency climbs in `rank` and at least one descends;
+    the descending dependencies are the evidence."""
     index = model.entity_index
     cross = []
-    for rel in deps:
-        src = index[rel.source].layer
-        tgt = index[rel.target].layer
+    for rel in _dependency_edges(model):
+        src = rank[index[rel.source].layer]
+        tgt = rank[index[rel.target].layer]
         if tgt > src:
             return None
         if tgt < src:
             cross.append(rel.id)
     if not cross:
         return None
-    return PatternHit("layered", tuple(sorted(cross)))
+    return PatternHit(name, tuple(sorted(cross)))
+
+
+def _detect_layered(model: Metamodel) -> PatternHit | None:
+    if len({int(e.layer) for e in model.entities}) < LAYERED_MIN_LAYERS:
+        return None
+    return _downward(model, "layered", _LAYER_ORDER)
 
 
 def _detect_clean_onion(model: Metamodel) -> PatternHit | None:
-    deps = _dependency_edges(model)
-    if not deps:
-        return None
-    index = model.entity_index
-    cross = []
-    for rel in deps:
-        src = _GROUP_ORDER[index[rel.source].layer]
-        tgt = _GROUP_ORDER[index[rel.target].layer]
-        if tgt > src:
-            return None
-        if tgt < src:
-            cross.append(rel.id)
-    if not cross:
-        return None
-    return PatternHit("clean-onion", tuple(sorted(cross)))
+    return _downward(model, "clean-onion", _GROUP_ORDER)
 
 
 def _detect_cqrs(model: Metamodel) -> PatternHit | None:
     commands = model.entities_of_kind(EntityKind.Command)
     queries = model.entities_of_kind(EntityKind.Query)
-    if not commands or not queries:
+    if not commands or not queries or shared_stores(model, None):
         return None
-    command_ids = {e.id for e in commands}
-    query_ids = {e.id for e in queries}
-    written: set[str] = set()
-    read: set[str] = set()
-    for rel in _dependency_and_data_edges(model):
-        target = model.entity_index.get(rel.target)
-        if target is None or target.kind is not EntityKind.DataStore:
-            continue
-        if rel.source in command_ids:
-            written.add(rel.target)
-        elif rel.source in query_ids:
-            read.add(rel.target)
-    if written & read:
-        return None
-    evidence = sorted(command_ids | query_ids)
+    evidence = sorted(e.id for group in (commands, queries) for e in group)
     return PatternHit("cqrs", tuple(evidence))
 
 

@@ -18,11 +18,11 @@ filename (text before the first dot) for file globs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 from ..errors import InvalidRulesError, UnreadableRootError
+from ..jsonin import decode_json
 from ..model import EntityKind
 from .matching import normalize_name
 
@@ -132,7 +132,7 @@ def _manifest_names(root: Path, rule: ScanRule) -> list[tuple[str, str]]:
     if not path.is_file():
         return []
     try:
-        data = json.loads(path.read_text("utf-8"))
+        data = decode_json(path.read_text("utf-8"))
     except (OSError, ValueError) as err:  # ValueError: not UTF-8 or not JSON
         raise InvalidRulesError(rule.line, f"manifest {file_part} not parseable: {err}") from None
     if not isinstance(data, dict):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..constraints import validate_constraint_params
+from ..constraints import DEFAULT_ACYCLIC_KINDS, DEFAULT_DIRECTION_GROUPS, validate_constraint_params
 from ..diagrams.canonical import dumps_model
 from ..diagrams.render import render_diagram_view, view_entity_kinds
 from ..diagrams.types import PRIMARY_LAYER, DiagramType
@@ -77,18 +77,18 @@ def describe_constraint(constraint: Constraint) -> str:
     if kind is ConstraintKind.dependency_direction:
         groups = constraint.params.get("groups")
         if groups:
-            names = " -> ".join(str(g["name"]) for g in groups)  # type: ignore[index]
+            names = [str(g["name"]) for g in groups]  # type: ignore[index]
         else:
-            names = "Implementation -> System -> Business"
+            names = [name for name, _layers in DEFAULT_DIRECTION_GROUPS]
         body = (
-            f"dependencies must point inward along {names}; "
+            f"dependencies must point inward along {' -> '.join(names)}; "
             "a dependency from an inner group back toward an outer one is a violation"
         )
     elif kind is ConstraintKind.layer_boundary:
         allowed = ", ".join(constraint.params.get("allowed_targets", ()))  # type: ignore[arg-type]
         body = f"scoped entities may only depend on targets in layers: {allowed}"
     elif kind is ConstraintKind.acyclicity:
-        kinds = ", ".join(constraint.params.get("relation_kinds") or ("dependency",))  # type: ignore[arg-type]
+        kinds = ", ".join(constraint.params.get("relation_kinds") or DEFAULT_ACYCLIC_KINDS)  # type: ignore[arg-type]
         body = f"the {kinds} relation graph must remain free of cycles"
     elif kind is ConstraintKind.context_isolation:
         body = (

@@ -11,9 +11,9 @@ else.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from importlib import resources
 from typing import Mapping
 
@@ -147,7 +147,8 @@ def missing_sections(rendered: str, template: PromptTemplate) -> tuple[str, ...]
     return tuple(h for h, n in counts.items() if n != 1)
 
 
-def prompt_filename(process: str, stage: str, when: datetime | None = None) -> str:
-    moment = when if when is not None else datetime.now(timezone.utc)
-    stamp = moment.strftime("%Y%m%dT%H%M%SZ")
-    return f"{process.strip().upper()}_{_canonical_stage(stage)}_{stamp}.prompt.txt"
+def prompt_filename(process: str, stage: str, rendered: str) -> str:
+    """The default output name: process, stage and the first 12 hex digits of
+    the rendered prompt's sha256, so identical runs write the same file."""
+    digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:12]
+    return f"{process.strip().upper()}_{_canonical_stage(stage)}_{digest}.prompt.txt"

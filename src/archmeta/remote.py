@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import EndpointProtocolError
+from .jsonin import decode_json
 from .metrics.embedding import EmbeddingVector, dense_vector
 
 EMBED_ENDPOINT_VAR = "ARCHMETA_EMBED_ENDPOINT"
@@ -52,7 +53,7 @@ def _post_json(url: str, payload: Mapping[str, Any], timeout: float) -> tuple[An
         # a read timeout after connecting is raised bare, not wrapped in URLError
         raise EndpointProtocolError(f"{url}: request failed: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8")), raw
+        return decode_json(raw.decode("utf-8")), raw
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EndpointProtocolError(f"{url}: response is not JSON: {exc}") from exc
 

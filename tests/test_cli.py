@@ -198,6 +198,18 @@ def test_validate_malformed_catalog_is_an_input_error(catalog, desk_dir, tmp_pat
     assert proc.stderr.startswith("error: constraint ")
 
 
+@pytest.mark.parametrize("name", ["original", "process_a", "process_b"])
+def test_a_models_own_constraints_are_a_valid_catalog(name, cli, desk_dir, tmp_path):
+    model = desk_dir / f"{name}.archmeta.json"
+    catalog = tmp_path / "catalog.json"
+    constraints = json.loads(model.read_text("utf-8"))["constraints"]
+    assert any(c["scope"] is None for c in constraints)  # dumps_model's empty scope
+    catalog.write_text(json.dumps({"constraints": constraints}))
+    plain = cli("validate", "--model", str(model))
+    given = cli("validate", "--model", str(model), "--constraints", str(catalog))
+    assert (given.code, given.out, given.err) == (plain.code, plain.out, plain.err)
+
+
 # ---------------------------------------------------------------- trace
 
 
@@ -578,6 +590,69 @@ def test_malformed_input_file_is_a_usage_error(case, desk_dir, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+# Values json.loads cannot hand back whole, each spliced in place of the
+# string "@edge" in an otherwise valid input: nesting past the recursion
+# limit, an integer past the int-to-string digit limit, and a \\u escape of
+# a lone surrogate, which no UTF-8 writer can encode.
+EDGE_VALUES = {
+    "deep": "[" * 100_000,
+    "long-int": "9" * 5000,
+    "surrogate": '"\\ud800"',
+}
+EDGE_INPUTS = ["model", "lift", "catalog", "config", "report", "manifest", "assemble"]
+
+
+def _edge_argv(where: str, value: str, desk_dir: Path, tmp_path: Path) -> list[str]:
+    """A command whose JSON input named by `where` holds `value`."""
+    model = json.loads((desk_dir / "process_b.archmeta.json").read_text("utf-8"))
+    model["entities"][0]["name"] = "@edge"
+    good = _fragment(tmp_path / "good.json", dict.fromkeys(METRIC_KEYS, 0.5))
+    bad = str(tmp_path / ("m.json" if where == "manifest" else "bad.json"))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("version 1\nm.json#k -> Component\n")
+    doc, argv = {
+        "model": (model, ["validate", "--model", bad]),
+        "lift": (model, ["lift", "--format", "canonical", bad]),
+        "catalog": ({"constraints": [{"id": "@edge", "kind": "acyclicity"}]},
+                    ["validate", "--model", str(desk_dir / "process_b.archmeta.json"),
+                     "--constraints", bad]),
+        "config": ({"model": "@edge"}, ["score", "--config", bad]),
+        "report": ({**json.loads(Path(good).read_text("utf-8")), "note": "@edge"},
+                   ["report", "--a", bad, "--b", good]),
+        "manifest": ({"k": ["@edge"]},
+                     ["extract", "--root", str(tmp_path), "--rules", str(rules)]),
+        "assemble": (model, ["assemble", "--process", "B", "--stage", "td-to-bd",
+                             "--slot", "td_and_diagrams=@context", "--context-model", bad,
+                             "--purpose", "business-alignment",
+                             "--output", str(tmp_path / "prompt.txt")]),
+    }[where]
+    Path(bad).write_text(json.dumps(doc).replace('"@edge"', value), encoding="utf-8")
+    return argv
+
+
+def _assert_edge_rejected(case: str, where: str, desk_dir: Path, tmp_path: Path) -> None:
+    proc = _run_python("-m", "archmeta.cli", *_edge_argv(where, EDGE_VALUES[case], desk_dir, tmp_path))
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("where", EDGE_INPUTS)
+def test_json_nested_past_the_recursion_limit_is_an_input_error(where, desk_dir, tmp_path):
+    _assert_edge_rejected("deep", where, desk_dir, tmp_path)
+
+
+@pytest.mark.parametrize("where", EDGE_INPUTS)
+def test_json_integer_past_the_digit_limit_is_an_input_error(where, desk_dir, tmp_path):
+    _assert_edge_rejected("long-int", where, desk_dir, tmp_path)
+
+
+@pytest.mark.parametrize("where", EDGE_INPUTS)
+def test_json_lone_surrogate_escape_is_an_input_error(where, desk_dir, tmp_path):
+    _assert_edge_rejected("surrogate", where, desk_dir, tmp_path)
 
 
 @pytest.mark.parametrize("key, value, wanted", [

@@ -1,7 +1,9 @@
 """The exit-code contract under malformed input files, fuzzed in process.
 
 Mutated copies of the desk process-B model (truncated, bytes flipped, a
-field dropped, a field given a value of the wrong type) go through
+field dropped, a field given a value of the wrong type or one that json
+cannot hand back whole: an array nested 100,000 deep, a 5,000-digit integer,
+a lone surrogate) go through
 `validate`, `trace` and `diff`; mutated rules and alias files go through
 `extract` and `score`; mutated PlantUML and Mermaid views of the desk
 original model go through `parse` and `lift`; mutated score fragments go
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -38,6 +41,19 @@ OTHER = str(DESK / "process_a.archmeta.json")
 
 # one value of each JSON type
 _WRONG_VALUES = (None, 0, 2.5, True, "x", [], {})
+
+
+@dataclass(frozen=True)
+class _Raw:
+    """A value spliced in as JSON text, for values json.dumps cannot write."""
+
+    text: str
+
+
+# nesting past the recursion limit, an integer past the int-to-string digit
+# limit, and a string json writes as a lone-surrogate escape
+_EDGE_VALUES = (_Raw("[" * 100_000 + "]" * 100_000), _Raw("9" * 5000), "\ud800")
+_SPLICE = "\0raw\0"
 
 
 def _fields(node: object, path: tuple = ()) -> set[tuple]:
@@ -82,6 +98,9 @@ def _edited(field: tuple, instance: int, value: object, source: bytes = SOURCE) 
     container, key = found[instance % len(found)]
     if value is _DROP:
         del container[key]
+    elif isinstance(value, _Raw):
+        container[key] = _SPLICE
+        return json.dumps(doc).replace(json.dumps(_SPLICE), value.text).encode("utf-8")
     else:
         container[key] = value
     return json.dumps(doc).encode("utf-8")
@@ -99,7 +118,7 @@ def mutated_models(draw: st.DrawFn) -> bytes:
         return bytes(data)
     field = draw(st.sampled_from(FIELDS))
     instance = draw(st.integers(0, 200))
-    value = _DROP if how == "drop" else draw(st.sampled_from(_WRONG_VALUES))
+    value = _DROP if how == "drop" else draw(st.sampled_from(_WRONG_VALUES + _EDGE_VALUES))
     return _edited(field, instance, value)
 
 
@@ -305,12 +324,12 @@ FRAGMENT_TOKENS = ('"raw":', '"ordinal":', '"metrics":', "{", "}", "[", "]", ","
 def mutated_documents(draw: st.DrawFn, source: bytes, values: tuple, tokens: tuple[str, ...]
                       ) -> bytes:
     """A JSON document's text mutated, or one instance of one of its fields
-    dropped or set to one of values."""
+    dropped or set to one of values or of the edge values."""
     how = draw(st.sampled_from(("text", "drop", "retype")))
     if how == "text":
         return draw(mutated_text(source, _lines_of(tokens)))
     field = draw(st.sampled_from(sorted(_fields(json.loads(source)))))
-    value = _DROP if how == "drop" else draw(st.sampled_from(values))
+    value = _DROP if how == "drop" else draw(st.sampled_from(values + _EDGE_VALUES))
     return _edited(field, draw(st.integers(0, 50)), value, source)
 
 

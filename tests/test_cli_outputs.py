@@ -83,6 +83,7 @@ CASES: dict[str, list[str]] = {
     "extract-json": [*EXTRACT, "--json"],
     "extract-model": EXTRACT_MODEL,
     "extract-model-output-json": [*EXTRACT_MODEL, "--output", "out/extract.json", "--json"],
+    "assemble": ASSEMBLE,
     "assemble-output": [*ASSEMBLE, "--output", "out/prompt.txt"],
     "assemble-output-json": [*ASSEMBLE, "--output", "out/prompt.txt", "--json"],
     "assemble-context": [*ASSEMBLE_CONTEXT, "--output", "out/prompt.txt"],
@@ -156,6 +157,9 @@ PINNED: dict[str, tuple[int, str, str, dict[str, str]]] = {
     }),
     "assemble-output": (0, "31b045027cae1964", "e3b0c44298fc1c14", {
         "out/prompt.txt": "651f62276b22ee30",
+    }),
+    "assemble": (0, "9b1412ed9963ace9", "e3b0c44298fc1c14", {
+        "A_td-to-bd_651f62276b22.prompt.txt": "651f62276b22ee30",
     }),
     "assemble-output-json": (0, "b5290baa2151609c", "e3b0c44298fc1c14", {
         "out/prompt.txt": "651f62276b22ee30",

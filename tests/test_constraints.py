@@ -364,7 +364,8 @@ def test_constraints_from_json_rejects_bad_documents():
         ('{"constraints": [{"id": "x", "kind": "bogus"}]}', "'x'"),
         ('{"constraints": [{"id": "ok", "kind": "acyclicity"}, {"kind": "acyclicity"}]}', "'#1'"),
         ('{"constraints": ["acyclicity"]}', "'#0'"),
-        ('{"constraints": [{"id": "s", "kind": "acyclicity", "scope": []}]}', "'s'"),
+        *((f'{{"constraints": [{{"id": "s", "kind": "acyclicity", "scope": {scope}}}]}}', "'s'")
+          for scope in ("[]", '""', "0", "false")),  # only null reads as an empty scope
         ('{"constraints": [{"id": "p", "kind": "acyclicity", "params": [1]}]}', "'p'"),
         ('{"constraints": [{"id": "r", "kind": "acyclicity", "params": {"relation_kinds": [[1]]}}]}', "'r'"),
     ],

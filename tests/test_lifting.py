@@ -16,7 +16,12 @@ from archmeta.diagrams.lifting import (
     lift_to_metamodel,
     load_lifting_table,
 )
-from archmeta.diagrams.render import render_diagram_view, view_entity_kinds, view_format
+from archmeta.diagrams.render import (
+    render_diagram_view,
+    serialize_metamodel,
+    view_entity_kinds,
+    view_format,
+)
 from archmeta.errors import (
     AmbiguousElementClassError,
     DuplicateIdError,
@@ -231,3 +236,25 @@ def test_rendered_views_are_pinned(original_model, process_a_model, process_b_mo
                     text = f"{type(exc).__name__}: {exc}"
                 digest.update(f"{dtype.value}|{strict}|".encode() + text.encode() + b"\0")
     assert digest.hexdigest() == VIEWS_DIGEST
+
+
+# sha256 over serialize_metamodel's PlantUML and Mermaid text, flat and by
+# layer, strict and lenient, of the three desk models and 50 random_model
+# seeds; a strict call that raises contributes its error
+SERIALIZED_DIGEST = "1602fea8c05528526a9bb1f1f5e0ce95784ca745c19c7b438c325aabf066518a"
+
+
+def test_serialized_notations_are_pinned(original_model, process_a_model, process_b_model):
+    models = [original_model, process_a_model, process_b_model]
+    models += [random_model(random.Random(seed)) for seed in range(50)]
+    digest = hashlib.sha256()
+    for model in models:
+        for fmt in ("plantuml", "mermaid"):
+            for grouping in ("flat", "by-layer"):
+                for strict in (False, True):
+                    try:
+                        text = serialize_metamodel(model, fmt, grouping, strict)
+                    except Exception as exc:
+                        text = f"{type(exc).__name__}: {exc}"
+                    digest.update(f"{fmt}|{grouping}|{strict}|".encode() + text.encode() + b"\0")
+    assert digest.hexdigest() == SERIALIZED_DIGEST

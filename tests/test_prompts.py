@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -115,9 +115,12 @@ def test_assemble_requires_every_slot():
     assert "td_and_diagrams" in str(err.value)
 
 
-def test_prompt_filename_format():
-    when = datetime(2026, 8, 16, 9, 30, 0, tzinfo=timezone.utc)
-    assert prompt_filename("b", "TD → BD", when) == "B_td-to-bd_20260816T093000Z.prompt.txt"
+def test_prompt_filename_is_derived_from_the_prompt():
+    digest = hashlib.sha256("rendered prompt\n".encode("utf-8")).hexdigest()[:12]
+    name = prompt_filename("b", "TD → BD", "rendered prompt\n")
+    assert name == f"B_td-to-bd_{digest}.prompt.txt"
+    assert prompt_filename("B", "td-to-bd", "rendered prompt\n") == name
+    assert prompt_filename("b", "TD → BD", "another prompt\n") != name
 
 
 # ---------------------------------------------------------------- context

@@ -71,6 +71,8 @@ def stub():
         ),
         "/llm-broken": lambda req: (200, {"completion": 17}),
         "/llm-garbage": lambda req: (200, b"not json at all"),
+        "/llm-deep": lambda req: (200, b"[" * 100_000 + b"]" * 100_000),
+        "/llm-surrogate": lambda req: (200, b'{"completion": "\\ud800"}'),
         "/gone": lambda req: (500, {"error": "boom"}),
         "/slow": lambda req: (time.sleep(0.3), (200, {"vectors": []}))[1],
     }
@@ -131,8 +133,9 @@ def test_llm_round_trip(stub_server):
 def test_llm_protocol_errors(stub_server):
     with pytest.raises(EndpointProtocolError, match="completion"):
         LlmClient(f"{stub_server}/llm-broken").complete("x")
-    with pytest.raises(EndpointProtocolError, match="not JSON"):
-        LlmClient(f"{stub_server}/llm-garbage").complete("x")
+    for path in ("/llm-garbage", "/llm-deep", "/llm-surrogate"):
+        with pytest.raises(EndpointProtocolError, match="not JSON"):
+            LlmClient(f"{stub_server}{path}").complete("x")
 
 
 def test_unreachable_endpoint(stub_server):
