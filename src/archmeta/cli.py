@@ -58,20 +58,37 @@ def _write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_text(path: str | Path, flag: str, errors: str = "strict") -> str:
-    """Contents of an input file, as UTF-8. A missing, unreadable or (with
-    strict errors) undecodable file is a usage error naming the flag and file."""
+def _read_bytes(path: str | Path, flag: str) -> bytes:
+    """Contents of an input file. A missing or unreadable file is a usage error
+    naming the flag and file."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{flag}: not a readable file: {path}")
     try:
-        return p.read_text("utf-8", errors=errors)
+        return p.read_bytes()
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _decode(data: bytes, path: str | Path, flag: str, errors: str = "strict") -> str:
+    """`data` as UTF-8 text with universal newlines, as `open(path).read()` gives
+    it. Undecodable bytes (with strict errors) are a usage error naming the
+    flag and file."""
+    try:
+        text = data.decode("utf-8", errors)
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"{flag}: not UTF-8 text: {path} (at byte {exc.start}: {exc.reason})"
         ) from None
-    except OSError as exc:
-        raise UsageError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read_text(path: str | Path, flag: str, errors: str = "strict") -> str:
+    """Contents of an input file, as UTF-8. A missing, unreadable or (with
+    strict errors) undecodable file is a usage error naming the flag and file."""
+    return _decode(_read_bytes(path, flag), path, flag, errors)
 
 
 def _read_json(path: str | Path, flag: str) -> Any:
@@ -92,10 +109,36 @@ def _require_dir(path: str, flag: str) -> Path:
     return p
 
 
+# (sha256 of a model file's bytes, the model loaded from them), or None
+_last_model: tuple[bytes, Metamodel] | None = None
+
+
 def _load_model(path: str, flag: str) -> Metamodel:
+    """The canonical model in the file at `path`, read and checked strictly.
+
+    The last model loaded stays in a one-model slot, keyed by the sha256 of
+    the file's bytes. A later command in the same process that reads the same
+    bytes, from any path, gets the same immutable Metamodel back, with
+    whatever indices earlier commands cached on it. Other bytes empty the slot
+    before they load, so the old model can be freed first; a read, decode or
+    load that fails leaves the slot empty. A fresh process pays one sha256 per
+    model file.
+    """
+    global _last_model
+    import hashlib
+
     from .diagrams.canonical import loads_model
 
-    return loads_model(_read_text(path, flag))
+    held, _last_model = _last_model, None  # empty until this call succeeds
+    data = _read_bytes(path, flag)
+    digest = hashlib.sha256(data).digest()
+    if held is not None and held[0] == digest:
+        _last_model = held
+        return held[1]
+    held = None  # the old model can be freed before the new one is built
+    model = loads_model(_decode(data, path, flag))
+    _last_model = (digest, model)
+    return model
 
 
 def _dump_json(payload: Mapping[str, Any]) -> str:
@@ -527,28 +570,35 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+# The values of DiagramFormat and DiagramType, in their order, spelled here so
+# that building the parser imports neither archmeta.model nor diagrams.types
+_FORMAT_CHOICES = ["canonical", "plantuml", "mermaid"]
+_TYPE_CHOICES = [
+    "BusinessContext", "BusinessCapabilityMap", "DomainModel", "BusinessProcess",
+    "DddContextMap", "CqrsView", "EventDrivenView", "CleanOnionView", "SystemContainer",
+    "ComponentView", "DeploymentInfrastructure", "IntegrationApi", "StranglerMigration",
+    "ClassModuleStructure", "SequenceInteraction", "DataModelSchema", "RuntimeTopology",
+    "StateMachine",
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand. Each parsed namespace carries the
     subcommand's name as `command`; `main` runs the module's `cmd_<command>`."""
-    from .diagrams.types import DiagramFormat, DiagramType
-
     parser = argparse.ArgumentParser(
         prog="archmeta",
         description="Architecture metamodel toolkit: lift diagrams, validate, trace, and score.",
     )
     sub = parser.add_subparsers(dest="command")
 
-    format_values = [f.value for f in DiagramFormat]
-    type_values = [t.value for t in DiagramType]
-
     p = sub.add_parser("parse", help="strict-parse diagram files and report status")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--format", choices=format_values)
+    p.add_argument("--format", choices=_FORMAT_CHOICES)
 
     p = sub.add_parser("lift", help="parse diagrams and lift them into one canonical model")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--format", choices=format_values)
-    p.add_argument("--type", choices=type_values, help="diagram type hint applied to every input")
+    p.add_argument("--format", choices=_FORMAT_CHOICES)
+    p.add_argument("--type", choices=_TYPE_CHOICES, help="diagram type hint applied to every input")
     p.add_argument("--system", default="")
     p.add_argument("--output")
 

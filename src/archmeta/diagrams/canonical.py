@@ -117,7 +117,7 @@ def _entity_from(obj: Any, strict: bool) -> Entity:
     return Entity(eid, kind, name, layer, override, description, attributes)
 
 
-def _relation_from(obj: Any, strict: bool) -> Relation:
+def _relation_from(obj: Any, strict: bool, ids: Mapping[str, str]) -> Relation:
     if not isinstance(obj, dict):
         raise _fail("relation: object")
     if strict and not obj.keys() <= _RELATION_KEYS:
@@ -140,10 +140,10 @@ def _relation_from(obj: Any, strict: bool) -> Relation:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise _bad_field(obj, "label", f"relation {rid!r}")
-    return Relation(rid, source, target, kind, label)
+    return Relation(rid, ids.get(source, source), ids.get(target, target), kind, label)
 
 
-def _trace_from(obj: Any, strict: bool) -> TraceLink:
+def _trace_from(obj: Any, strict: bool, ids: Mapping[str, str]) -> TraceLink:
     if not isinstance(obj, dict):
         raise _fail("trace: object")
     if strict and not obj.keys() <= _TRACE_KEYS:
@@ -160,7 +160,7 @@ def _trace_from(obj: Any, strict: bool) -> TraceLink:
     target = obj.get("target")
     if not isinstance(target, str):
         raise _bad_field(obj, "target", "trace")
-    return TraceLink(source, target, cls)
+    return TraceLink(ids.get(source, source), ids.get(target, target), cls)
 
 
 def _constraint_from(obj: Any, strict: bool) -> Constraint:
@@ -221,7 +221,7 @@ def _document(text: str, strict: bool) -> dict[str, Any]:
     try:
         doc = decode_json(text)
     except json.JSONDecodeError as exc:
-        raise DiagramSyntaxError(exc.lineno, exc.colno, "valid JSON") from None
+        raise DiagramSyntaxError(exc.lineno, exc.colno, f"valid JSON ({exc.msg})") from None
     if not isinstance(doc, dict):
         raise _fail("top-level object")
     if strict and not doc.keys() <= _TOP_KEYS:
@@ -237,12 +237,20 @@ def _document(text: str, strict: bool) -> dict[str, Any]:
     return doc
 
 
+def _id_strings(entities: list[Entity]) -> dict[str, str]:
+    """Each entity id mapped to itself. Relations and traces take their
+    endpoints from it, so an endpoint shares its entity's id string instead of
+    keeping the copy json.loads made for every occurrence."""
+    return {e.id: e.id for e in entities}
+
+
 def loads_model(text: str, strict: bool = True) -> Metamodel:
     """Parse a canonical document into a validated Metamodel."""
     doc = _document(text, strict)
     entities = [_entity_from(o, strict) for o in doc.get("entities", ())]
-    relations = [_relation_from(o, strict) for o in doc.get("relations", ())]
-    traces = [_trace_from(o, strict) for o in doc.get("traces", ())]
+    ids = _id_strings(entities)
+    relations = [_relation_from(o, strict, ids) for o in doc.get("relations", ())]
+    traces = [_trace_from(o, strict, ids) for o in doc.get("traces", ())]
     constraints = [_constraint_from(o, strict) for o in doc.get("constraints", ())]
     diagrams = [_diagram_ref_from(o, strict) for o in doc.get("diagrams", ())]
     system = doc.get("system", "")
@@ -257,8 +265,8 @@ def parse_canonical(text: str, strict: bool = True) -> tuple[list[DiagramElement
     as edges. Element properties carry everything needed for exact lifting."""
     doc = _document(text, strict)
     entities = [_entity_from(o, strict) for o in doc.get("entities", ())]
-    relations = [_relation_from(o, strict) for o in doc.get("relations", ())]
-    ids = {e.id for e in entities}
+    ids = _id_strings(entities)
+    relations = [_relation_from(o, strict, ids) for o in doc.get("relations", ())]
     for r in relations:
         for end in (r.source, r.target):
             if end not in ids:

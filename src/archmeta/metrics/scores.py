@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Mapping, Sized
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sized
 
-from ..diagrams.types import ArtifactSet
 from ..errors import (
     EmptyArtifactSetError,
     EmptyExpectedPatternsError,
@@ -20,8 +19,11 @@ from ..errors import (
     NoComparableGroupsError,
     OutOfRangeRawError,
 )
-from ..model import EntityKind, Metamodel
 from .embedding import EmbeddingVector, cosine, lexical_embed
+
+if TYPE_CHECKING:  # `report` reads METRIC_KEYS and loads neither module
+    from ..diagrams.types import ArtifactSet
+    from ..model import Metamodel
 
 METRIC_KEYS = ("C", "SF", "K", "TC", "MR", "LCE", "CPC")
 
@@ -66,6 +68,8 @@ def document_groups(model: Metamodel) -> dict[str, str]:
     interfaces contribute name plus description. Entities are visited in id
     order so the concatenation is deterministic.
     """
+    from ..model import EntityKind
+
     domain: list[str] = []
     responsibilities: list[str] = []
     contracts: list[str] = []

@@ -655,6 +655,17 @@ def test_json_lone_surrogate_escape_is_an_input_error(where, desk_dir, tmp_path)
     _assert_edge_rejected("surrogate", where, desk_dir, tmp_path)
 
 
+@pytest.mark.parametrize("case, cause", [
+    ("deep", "nesting too deep to decode"),
+    ("long-int", "integer too long to decode"),
+])
+def test_undecodable_model_error_names_the_cause(case, cause, desk_dir, tmp_path):
+    argv = _edge_argv("model", EDGE_VALUES[case], desk_dir, tmp_path)
+    proc = _run_python("-m", "archmeta.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: line 1, col 1: expected valid JSON ({cause})\n"
+
+
 @pytest.mark.parametrize("key, value, wanted", [
     *((key, 5, "a path string") for key in ("model", "reference", "baseline", "codebase",
                                               "rules", "artifacts", "constraints")),
@@ -716,9 +727,33 @@ def test_report_imports_no_scoring_stage(tmp_path):
         f"    assert main(['report', '--a', {a!r}, '--b', {b!r}]) == 0\n"
     )
     assert "archmeta.metrics.scores" in loaded
-    for unused in ("archmeta.constraints", "archmeta.traces", "archmeta.extract",
-                   "archmeta.diagrams.parse", "archmeta.metrics.pipeline", "archmeta.remote"):
+    for unused in ("archmeta.model", "archmeta.diagrams.types", "archmeta.constraints",
+                   "archmeta.traces", "archmeta.extract", "archmeta.diagrams.parse",
+                   "archmeta.metrics.pipeline", "archmeta.remote"):
         assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
+
+
+def test_extract_without_a_model_imports_no_diagram_module(desk_dir):
+    root, rules = str(desk_dir / "codebase"), str(desk_dir / "rules.txt")
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from archmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['extract', '--root', {root!r}, '--rules', {rules!r}]) == 0\n"
+    )
+    assert "archmeta.extract.scan" in loaded
+    for unused in ("archmeta.diagrams", "archmeta.constraints", "archmeta.traces",
+                   "archmeta.extract.patterns", "archmeta.metrics", "archmeta.prompts",
+                   "archmeta.remote"):
+        assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
+
+
+def test_parser_choices_are_the_diagram_enums_in_order():
+    from archmeta import cli
+    from archmeta.diagrams.types import DiagramFormat, DiagramType
+
+    assert cli._FORMAT_CHOICES == [f.value for f in DiagramFormat]
+    assert cli._TYPE_CHOICES == [t.value for t in DiagramType]
 
 
 def test_a_reused_parser_leaks_nothing_between_calls(cli, desk_dir, tmp_path):

@@ -1,0 +1,179 @@
+"""The CLI's one-model slot: commands in one process that read the same model
+bytes share one loaded Metamodel, and nothing they do changes it."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import archmeta
+from archmeta import cli
+from archmeta.diagrams import canonical
+from archmeta.model import Metamodel
+from archmeta.remote import EMBED_ENDPOINT_VAR
+from tests.conftest import DESK_DIR, invoke
+from tests.test_cli_outputs import CASES, _clear_outputs, work  # noqa: F401 (fixture)
+
+MODEL_B = DESK_DIR / "process_b.archmeta.json"
+
+
+@pytest.fixture(autouse=True)
+def _empty_slot(monkeypatch):
+    monkeypatch.setattr(cli, "_last_model", None)
+    monkeypatch.delenv(EMBED_ENDPOINT_VAR, raising=False)
+
+
+@pytest.fixture()
+def loads(monkeypatch) -> list[Metamodel]:
+    """Every model canonical.loads_model returns from here on, in order."""
+    made: list[Metamodel] = []
+    real = canonical.loads_model
+
+    def counting(text: str, strict: bool = True) -> Metamodel:
+        made.append(real(text, strict))
+        return made[-1]
+
+    monkeypatch.setattr(canonical, "loads_model", counting)
+    return made
+
+
+@pytest.fixture()
+def served(monkeypatch) -> list[Metamodel]:
+    """Every model cli._load_model hands a command from here on, in order."""
+    got: list[Metamodel] = []
+    real = cli._load_model
+
+    def recording(path: str, flag: str) -> Metamodel:
+        got.append(real(path, flag))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "_load_model", recording)
+    return got
+
+
+def test_same_bytes_load_once_and_share_the_model(loads, served):
+    assert invoke("validate", "--model", str(MODEL_B)).code == 1
+    assert invoke("trace", "--model", str(MODEL_B)).code == 0
+    assert len(loads) == 1
+    assert len(served) == 2 and served[1] is served[0] is loads[0]
+
+
+def test_same_bytes_at_another_path_share_the_model(loads, tmp_path):
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(MODEL_B.read_bytes())
+    first = invoke("trace", "--model", str(MODEL_B))
+    assert invoke("trace", "--model", str(copy)).out == first.out
+    assert len(loads) == 1
+
+
+def test_changed_bytes_with_the_same_size_and_mtime_load_again(loads, tmp_path):
+    path = tmp_path / "model.json"
+    text = MODEL_B.read_text("utf-8")
+    path.write_text(text, encoding="utf-8")
+    stamp = path.stat()
+    assert invoke("trace", "--model", str(path)).code == 0
+    name = loads[-1].entities[0].name
+    renamed = ("Q" if name[0] != "Q" else "R") + name[1:]
+    path.write_text(text.replace(json.dumps(name), json.dumps(renamed), 1), encoding="utf-8")
+    os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    assert invoke("trace", "--model", str(path)).code == 0
+    assert len(loads) == 2
+    assert loads[-1].entities[0].name == renamed
+
+
+def test_a_failed_load_empties_the_slot(tmp_path):
+    good = invoke("validate", "--model", str(MODEL_B))
+    assert cli._last_model is not None
+    path = tmp_path / "model.json"
+    path.write_text("{", encoding="utf-8")
+    bad = invoke("validate", "--model", str(path))
+    assert bad.code == 2
+    assert bad.err == ("error: line 1, col 2: expected valid JSON "
+                       "(Expecting property name enclosed in double quotes)\n")
+    assert cli._last_model is None
+    path.write_bytes(MODEL_B.read_bytes())
+    again = invoke("validate", "--model", str(path))
+    assert (again.code, again.out, again.err) == (good.code, good.out, good.err)
+
+
+def test_an_unreadable_model_empties_the_slot(tmp_path):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    missing = tmp_path / "ghost.json"
+    for path, message in ((bad, f"not UTF-8 text: {bad} (at byte 0: invalid start byte)"),
+                          (missing, f"not a readable file: {missing}")):
+        invoke("trace", "--model", str(MODEL_B))
+        assert cli._last_model is not None
+        result = invoke("trace", "--model", str(path))
+        assert result.code == 2
+        assert result.err == f"error: --model: {message}\n"
+        assert cli._last_model is None
+
+
+def test_score_with_the_model_as_its_reference_matches_a_fresh_process(loads):
+    argv = [
+        "score", "--model", str(MODEL_B), "--reference", str(MODEL_B),
+        "--baseline", str(DESK_DIR / "process_a.archmeta.json"),
+        "--codebase", str(DESK_DIR / "codebase"), "--rules", str(DESK_DIR / "rules.txt"),
+        "--artifacts", str(DESK_DIR / "artifacts"), "--aliases", str(DESK_DIR / "aliases.txt"),
+    ]
+    result = invoke(*argv)
+    assert len(loads) == 2  # the reference reuses the model; the baseline loads
+    env = {k: v for k, v in os.environ.items() if k != EMBED_ENDPOINT_VAR}
+    env["PYTHONPATH"] = str(Path(archmeta.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "archmeta.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (result.code, result.out, result.err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def _assert_as_loaded(model: Metamodel, text: str) -> set[str]:
+    """`model` equals a fresh load of `text`, and so does each index cached on
+    it; returns the names of those indices."""
+    fresh = canonical.loads_model(text)
+    assert model == fresh
+    cached = vars(model)
+    for name, value in cached.items():
+        if name == "_ancestor_tables":
+            assert value == {kind: fresh.ancestor_table(kind) for kind in value}, name
+        else:
+            assert value == getattr(fresh, name), name
+    return set(cached)
+
+
+def test_no_desk_command_changes_the_model_in_the_slot(work, monkeypatch):
+    monkeypatch.chdir(work)
+    texts = {}
+    for path in sorted((work / "desk").glob("*.archmeta.json")):
+        data = path.read_bytes()
+        texts[hashlib.sha256(data).digest()] = data.decode("utf-8")
+    seen: set[str] = set()
+    held = 0
+    for argv in CASES.values():
+        _clear_outputs(work)
+        invoke(*argv)
+        if cli._last_model is None:
+            continue
+        digest, model = cli._last_model
+        held += 1
+        seen |= _assert_as_loaded(model, texts[digest])
+    _clear_outputs(work)
+    assert held >= 30
+    assert {"relations_by_kind", "out_relations", "containment_parents",
+            "entity_ids_by_layer", "_ancestor_tables"} <= seen, seen
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(archmeta.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, archmeta.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

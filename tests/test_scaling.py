@@ -5,13 +5,15 @@ pattern detection, on a containment chain of depth n and of depth 2n, each
 with depth/2 dependencies pointing down the chain; and the canonical JSON
 round trip on a wide model of n and 2n entities with about three dependencies
 each. Only the ratio is checked, never an absolute time, so the gates hold on
-slow and fast hosts alike.
+slow and fast hosts alike. Each gate times its n and 2n runs in alternation,
+so both sides sample the same stretch of the host's speed.
 """
 
 from __future__ import annotations
 
 import random
 from time import perf_counter
+from typing import Callable
 
 from archmeta.constraints import evaluate_constraints, load_preset_constraints
 from archmeta.diagrams import dumps_model, loads_model
@@ -41,21 +43,27 @@ def _chain(depth: int) -> Metamodel:
     return build_metamodel(entities, relations)
 
 
-def _best_time(depth: int) -> float:
-    preset = load_preset_constraints()
-    best = float("inf")
+def _best_pair(sample: Callable[[int], float], n: int) -> tuple[float, float]:
+    """The best of REPEATS samples at n and at 2n, each n sample taken right
+    before a 2n one."""
+    small = large = float("inf")
     for _ in range(REPEATS):
-        model = _chain(depth)  # fresh each time: per-model caches are part of the cost
-        start = perf_counter()
-        evaluate_constraints(model, preset)
-        detect_patterns(model)
-        best = min(best, perf_counter() - start)
-    return best
+        small = min(small, sample(n))
+        large = min(large, sample(2 * n))
+    return small, large
+
+
+def _containment_time(depth: int) -> float:
+    preset = load_preset_constraints()
+    model = _chain(depth)  # fresh each time: per-model caches are part of the cost
+    start = perf_counter()
+    evaluate_constraints(model, preset)
+    detect_patterns(model)
+    return perf_counter() - start
 
 
 def test_containment_stages_scale_linearly_in_depth():
-    small = _best_time(N)
-    large = _best_time(2 * N)
+    small, large = _best_pair(_containment_time, N)
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
 
 
@@ -73,17 +81,13 @@ def _wide(n: int) -> Metamodel:
     return build_metamodel(entities, relations)
 
 
-def _best_round_trip(n: int) -> float:
-    model = _wide(n)
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = perf_counter()
-        loads_model(dumps_model(model))
-        best = min(best, perf_counter() - start)
-    return best
-
-
 def test_canonical_round_trip_scales_linearly_in_entities():
-    small = _best_round_trip(WIDE_N)
-    large = _best_round_trip(2 * WIDE_N)
+    models = {n: _wide(n) for n in (WIDE_N, 2 * WIDE_N)}
+
+    def round_trip(n: int) -> float:
+        start = perf_counter()
+        loads_model(dumps_model(models[n]))
+        return perf_counter() - start
+
+    small, large = _best_pair(round_trip, WIDE_N)
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
