@@ -1,62 +1,73 @@
-"""Strict parser for a bounded Mermaid subset.
-
-Supported headers: graph/flowchart (TD|TB|LR|RL|BT), erDiagram,
-sequenceDiagram, stateDiagram-v2. The first significant line must be the
-header. Statements may be separated by newlines or semicolons (graph family).
-Unknown constructs fail the parse.
+"""Strict parser for a bounded Mermaid subset: the graph, er, sequence and
+state families of vocabulary.MERMAID, each named by its header on the first
+significant line. Graph statements may be separated by newlines or
+semicolons. Unknown constructs fail the parse.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ..errors import DiagramSyntaxError, UnsupportedConstructError
 from .types import DiagramEdge, DiagramElement, _Sheet, _significant_lines
+from .vocabulary import MERMAID, PSEUDO_STATE, alternation, arrow_classes, identifier
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_-]*"
-_COMMENT = re.compile(r"^\s*%%")
+_IDENT = identifier(MERMAID.ident)
+_COMMENT = re.compile(r"^\s*" + re.escape(MERMAID.comment))
+_ARROWS = {family: arrow_classes(spec) for family, spec in MERMAID.families.items()}
+_DEFAULT = {family: spec.elements[0] for family, spec in MERMAID.families.items()}
 
-_RE_GRAPH_HEADER = re.compile(r"^(graph|flowchart)\s+(TD|TB|LR|RL|BT)$")
-# node shapes: id, id[text], id[(text)], id(text), id((text))
+# one named group per family; a graph head takes a direction
+_RE_HEADER = re.compile("|".join(
+    f"(?P<{family}>{alternation(heads)}"
+    + (rf"\s+{alternation(MERMAID.directions)}" if family == "graph" else "") + ")"
+    for family, heads in MERMAID.heads.items()
+))
+_HEADS = ["/".join(heads) for heads in MERMAID.heads.values()]
+_EXPECTED_HEADER = f"{', '.join(_HEADS[:-1])}, or {_HEADS[-1]} header"
+
+
+def _shape(opener: str, closer: str, text: str) -> str:
+    """Opener, text (a pattern where {} is a character not in the closer), closer, as a regex."""
+    banned = re.escape("".join(dict.fromkeys(closer)))
+    return re.escape(opener) + text.format(f"[^{banned}]") + re.escape(closer)
+
+
+# node shapes, longest opener first: id, id[text], id[(text)], id(text), id((text)).
+# m.lastindex names the class: 1 for a bare id, else the shape's group.
+_SHAPES = sorted(((o, c, cls) for cls, shapes in MERMAID.shapes.items() for o, c in shapes),
+                 key=lambda shape: -len(shape[0]))
 _RE_NODE = re.compile(
-    rf"^({_IDENT})(?:"
-    rf"\[\(([^\]\)]+)\)\]|"   # [(text)] cylinder
-    rf"\(\(([^\)]+)\)\)|"      # ((text)) circle
-    rf"\[([^\]]+)\]|"          # [text] rectangle
-    rf"\(([^\)]+)\)"           # (text) round
-    rf")?$"
-)
+    rf"^({_IDENT})(?:{'|'.join(_shape(o, c, '({}+)') for o, c, _ in _SHAPES)})?$")
+_NODE_CLASS = (None, _DEFAULT["graph"], *(cls for _, _, cls in _SHAPES))
+_INLINE = "|".join(_shape(o, c, "{}*") for o, c in MERMAID.shapes[_DEFAULT["graph"]])
 _RE_GRAPH_EDGE = re.compile(
-    rf"^({_IDENT})(?:\[[^\]]*\]|\([^\)]*\))?\s*-->"
-    rf"(?:\|([^|]+)\|)?\s*({_IDENT})(?:\[[^\]]*\]|\([^\)]*\))?$"
+    rf"^({_IDENT})(?:{_INLINE})?\s*{alternation(_ARROWS['graph'])}"
+    rf"(?:{_shape(MERMAID.flow_label, MERMAID.flow_label, '({}+)')})?\s*({_IDENT})(?:{_INLINE})?$"
 )
-_RE_ER_REL = re.compile(
-    rf"^({_IDENT})\s+([|}}o{{]{{2}})--([|}}o{{]{{2}})\s+({_IDENT})\s*:\s*(\S.*)$"
-)
+_RE_ER_REL = re.compile(rf"^({_IDENT})\s+{MERMAID.er_arrows}\s+({_IDENT})\s*:\s*(\S.*)$")
 _RE_ER_ENTITY_OPEN = re.compile(rf"^({_IDENT})\s*\{{$")
-_RE_ER_ATTR = re.compile(r"^([A-Za-z_][A-Za-z0-9_()]*)\s+([A-Za-z_][A-Za-z0-9_]*)$")
-_RE_SEQ_PART = re.compile(
-    rf"^(participant|actor)\s+({_IDENT})(?:\s+as\s+(\S.*))?$"
-)
-_RE_SEQ_MSG = re.compile(
-    rf"^({_IDENT})\s*(-->>|->>|-->|->)\s*({_IDENT})\s*:\s*(\S.*)$"
-)
-_STATE_EP = rf"(?:\[\*\]|{_IDENT})"
-_RE_STATE_TRANS = re.compile(
-    rf"^({_STATE_EP})\s*-->\s*({_STATE_EP})(?:\s*:\s*(\S.*))?$"
-)
-_RE_STATE_DECL = re.compile(rf"^state\s+({_IDENT})$")
-
-_UNSUPPORTED_WORDS = (
-    "subgraph", "classdef", "class", "click", "style", "linkstyle", "note",
-    "loop", "alt", "opt", "par", "rect", "activate", "deactivate",
-    "autonumber", "direction", "accTitle", "accDescr",
-)
+_RE_ER_ATTR = re.compile(rf"^({MERMAID.er_type})\s+({MERMAID.er_name})$")
+_RE_IDENT = re.compile(_IDENT)
+_STATE_EP = rf"(?:{re.escape(PSEUDO_STATE)}|{_IDENT})"
+# sequence and state: a declaration, its display name (if any) the last group, and an edge
+_RE_DECL = {
+    "sequence": re.compile(rf"^{alternation(MERMAID.families['sequence'].elements)}"
+                           rf"\s+({_IDENT})(?:\s+as\s+(\S.*))?$"),
+    "state": re.compile(rf"^{alternation(MERMAID.families['state'].elements)}\s+({_IDENT})$"),
+}
+_RE_EDGE = {
+    "sequence": re.compile(
+        rf"^({_IDENT})\s*{alternation(_ARROWS['sequence'])}\s*({_IDENT})\s*:\s*(\S.*)$"),
+    "state": re.compile(
+        rf"^({_STATE_EP})\s*{alternation(_ARROWS['state'])}\s*({_STATE_EP})(?:\s*:\s*(\S.*))?$"),
+}
 
 
 def _unsupported_check(line: str, lineno: int) -> None:
     word = line.split(None, 1)[0] if line else ""
-    if word.lower() in _UNSUPPORTED_WORDS:
+    if word.lower() in MERMAID.unsupported:
         raise UnsupportedConstructError(word, lineno)
 
 
@@ -67,50 +78,50 @@ class _MermaidSheet(_Sheet):
             # later, more specific appearances refine the node in place
             if display != local_id:
                 existing["display"] = display
-            if cls != "node":
+            if cls != _DEFAULT["graph"]:
                 existing["cls"] = cls
             return
         self.elements[local_id] = {"display": display, "cls": cls, "members": []}
         self.order.append(local_id)
 
 
-def _node_from_match(sheet: _MermaidSheet, m: re.Match) -> str:
-    ident, cyl, circle, rect, round_ = m.groups()
-    cls = "database" if cyl else "circle" if circle else "node"
-    sheet.declare(ident, cyl or circle or rect or round_ or ident, cls)
-    return ident
+def _node_from_match(sheet: _MermaidSheet, m: re.Match) -> None:
+    shape = m.lastindex
+    sheet.declare(m.group(1), m.group(shape), _NODE_CLASS[shape])
 
 
 def _parse_graph(body: list[tuple[int, str]]) -> _MermaidSheet:
     sheet = _MermaidSheet()
+    node, (flow,) = _DEFAULT["graph"], _ARROWS["graph"]
     for lineno, line in body:
-        for stmt in filter(None, (s.strip() for s in line.split(";"))):
+        for stmt in filter(None, (s.strip() for s in line.split(MERMAID.statement_end))):
             m = _RE_GRAPH_EDGE.match(stmt)
             if m:
-                src, label, tgt = m.group(1), m.group(2), m.group(3)
+                src, arrow, label, tgt = m.groups()
                 # endpoints may carry inline shapes; re-parse each side
-                head, tail = stmt.split("-->", 1)
-                if tail.lstrip().startswith("|"):
-                    tail = tail.split("|", 2)[2]
+                head, tail = stmt.split(arrow, 1)
+                if tail.lstrip().startswith(MERMAID.flow_label):
+                    tail = tail.split(MERMAID.flow_label, 2)[2]
                 for side in (head, tail):
                     nm = _RE_NODE.match(side.strip())
                     if nm:
                         _node_from_match(sheet, nm)
-                sheet.declare(src, src, "node")
-                sheet.declare(tgt, tgt, "node")
-                sheet.edge(src, tgt, "flow", (label or "").strip())
+                sheet.declare(src, src, node)
+                sheet.declare(tgt, tgt, node)
+                sheet.edge(src, tgt, _ARROWS["graph"][arrow], (label or "").strip())
                 continue
             m = _RE_NODE.match(stmt)
             if m:
                 _node_from_match(sheet, m)
                 continue
             _unsupported_check(stmt, lineno)
-            raise DiagramSyntaxError(lineno, 1, "node or --> edge")
+            raise DiagramSyntaxError(lineno, 1, f"node or {flow} edge")
     return sheet
 
 
 def _parse_er(body: list[tuple[int, str]]) -> _MermaidSheet:
     sheet = _MermaidSheet()
+    entity = _DEFAULT["er"]
     open_entity: str | None = None
     for lineno, line in body:
         if open_entity is not None:
@@ -120,22 +131,23 @@ def _parse_er(body: list[tuple[int, str]]) -> _MermaidSheet:
             m = _RE_ER_ATTR.match(line)
             if not m:
                 raise DiagramSyntaxError(lineno, 1, "attribute '<type> <name>' or '}'")
-            sheet.elements[open_entity]["members"].append(f"{m.group(2)} ({m.group(1)})")
+            member = MERMAID.er_member.format(name=m.group(2), type=m.group(1))
+            sheet.elements[open_entity]["members"].append(member)
             continue
         m = _RE_ER_REL.match(line)
         if m:
-            left, _lcard, _rcard, right, label = m.groups()
-            sheet.declare(left, left, "er_entity")
-            sheet.declare(right, right, "er_entity")
+            left, right, label = m.groups()
+            sheet.declare(left, left, entity)
+            sheet.declare(right, right, entity)
             sheet.edge(left, right, "relationship", label)
             continue
         m = _RE_ER_ENTITY_OPEN.match(line)
         if m:
-            sheet.declare(m.group(1), m.group(1), "er_entity")
+            sheet.declare(m.group(1), m.group(1), entity)
             open_entity = m.group(1)
             continue
-        if re.fullmatch(_IDENT, line):
-            sheet.declare(line, line, "er_entity")
+        if _RE_IDENT.fullmatch(line):
+            sheet.declare(line, line, entity)
             continue
         _unsupported_check(line, lineno)
         raise DiagramSyntaxError(lineno, 1, "entity or relationship")
@@ -144,47 +156,37 @@ def _parse_er(body: list[tuple[int, str]]) -> _MermaidSheet:
     return sheet
 
 
-def _parse_sequence(body: list[tuple[int, str]]) -> _MermaidSheet:
+def _parse_flat(family: str, expected: str, body: list[tuple[int, str]]) -> _MermaidSheet:
+    """Sequence and state: declarations and edges. [*] is a state diagram's
+    initial state as a source and its final one as a target."""
     sheet = _MermaidSheet()
+    default, arrows = _DEFAULT[family], _ARROWS[family]
+    declaration, edge = _RE_DECL[family], _RE_EDGE[family]
     for lineno, line in body:
-        m = _RE_SEQ_PART.match(line)
+        m = declaration.match(line)
         if m:
-            keyword, ident, display = m.groups()
-            cls = "actor" if keyword == "actor" else "participant"
-            sheet.declare(ident, display or ident, cls)
+            sheet.declare(m.group(2), m.group(m.lastindex), m.group(1))
             continue
-        m = _RE_SEQ_MSG.match(line)
+        m = edge.match(line)
         if m:
             src, arrow, tgt, label = m.groups()
-            sheet.declare(src, src, "participant")
-            sheet.declare(tgt, tgt, "participant")
-            cls = "reply" if arrow.startswith("--") else "message"
-            sheet.edge(src, tgt, cls, label)
+            s = "initial" if src == PSEUDO_STATE else src
+            t = "final" if tgt == PSEUDO_STATE else tgt
+            sheet.declare(s, s, "initial" if src == PSEUDO_STATE else default)
+            sheet.declare(t, t, "final" if tgt == PSEUDO_STATE else default)
+            sheet.edge(s, t, arrows[arrow], label or "")
             continue
         _unsupported_check(line, lineno)
-        raise DiagramSyntaxError(lineno, 1, "participant declaration or message")
+        raise DiagramSyntaxError(lineno, 1, expected)
     return sheet
 
 
-def _parse_state(body: list[tuple[int, str]]) -> _MermaidSheet:
-    sheet = _MermaidSheet()
-    for lineno, line in body:
-        m = _RE_STATE_TRANS.match(line)
-        if m:
-            src, tgt, label = m.groups()
-            s = "initial" if src == "[*]" else src
-            t = "final" if tgt == "[*]" else tgt
-            sheet.declare(s, s, "initial" if src == "[*]" else "state")
-            sheet.declare(t, t, "final" if tgt == "[*]" else "state")
-            sheet.edge(s, t, "transition", label or "")
-            continue
-        m = _RE_STATE_DECL.match(line)
-        if m:
-            sheet.declare(m.group(1), m.group(1), "state")
-            continue
-        _unsupported_check(line, lineno)
-        raise DiagramSyntaxError(lineno, 1, "state declaration or transition")
-    return sheet
+_FAMILY_PARSERS = {
+    "graph": _parse_graph,
+    "er": _parse_er,
+    "sequence": functools.partial(_parse_flat, "sequence", "participant declaration or message"),
+    "state": functools.partial(_parse_flat, "state", "state declaration or transition"),
+}
 
 
 def parse_mermaid(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdge]]:
@@ -197,18 +199,8 @@ def parse_mermaid(text: str) -> tuple[str, list[DiagramElement], list[DiagramEdg
     if not lines:
         raise DiagramSyntaxError(1, 1, "mermaid header")
     header_line, header = lines[0]
-    body = lines[1:]
-    if _RE_GRAPH_HEADER.match(header):
-        family, sheet = "graph", _parse_graph(body)
-    elif header == "erDiagram":
-        family, sheet = "er", _parse_er(body)
-    elif header == "sequenceDiagram":
-        family, sheet = "sequence", _parse_sequence(body)
-    elif header == "stateDiagram-v2":
-        family, sheet = "state", _parse_state(body)
-    else:
-        raise DiagramSyntaxError(
-            header_line, 1,
-            "graph/flowchart, erDiagram, sequenceDiagram, or stateDiagram-v2 header",
-        )
-    return family, sheet.diagram_elements(), sheet.edges
+    m = _RE_HEADER.fullmatch(header)
+    if not m:
+        raise DiagramSyntaxError(header_line, 1, _EXPECTED_HEADER)
+    sheet = _FAMILY_PARSERS[m.lastgroup](lines[1:])
+    return m.lastgroup, sheet.diagram_elements(), sheet.edges

@@ -27,21 +27,17 @@ from .types import (
     DiagramType,
     source_digest,
 )
+from .vocabulary import MERMAID, PLANTUML
 
-_MERMAID_HEADS = ("graph", "flowchart", "erDiagram", "sequenceDiagram", "stateDiagram-v2")
+_HEADS = frozenset(head for heads in MERMAID.heads.values() for head in heads)
 
-# family -> diagram type, where the notation alone pins the view type down.
-_PLANTUML_FAMILY_TYPE = {
+# family -> diagram type, where the notation alone pins the view type down
+# (a PlantUML component or Mermaid graph text leaves it open).
+_FAMILY_TYPE = {
     "class": DiagramType.ClassModuleStructure,
     "sequence": DiagramType.SequenceInteraction,
     "state": DiagramType.StateMachine,
-    "component": None,
-}
-_MERMAID_FAMILY_TYPE = {
     "er": DiagramType.DataModelSchema,
-    "sequence": DiagramType.SequenceInteraction,
-    "state": DiagramType.StateMachine,
-    "graph": None,
 }
 
 
@@ -52,12 +48,12 @@ def detect_format(text: str) -> DiagramFormat | None:
             continue
         if line.startswith("{"):
             return DiagramFormat.canonical
-        if line == "@startuml":
+        if line == PLANTUML.frame[0]:
             return DiagramFormat.plantuml
         head = line.split()[0]
-        if head in _MERMAID_HEADS or line.rstrip(";") in _MERMAID_HEADS:
+        if head in _HEADS or line.rstrip(MERMAID.statement_end) in _HEADS:
             return DiagramFormat.mermaid
-        if line.startswith("'") or line.startswith("%%"):
+        if line.startswith((PLANTUML.comment, MERMAID.comment)):
             continue
         return None
     return None
@@ -100,18 +96,16 @@ def parse_diagram(
             type=hinted,
             source_digest=digest,
             parse_status="failed",
-            failure_reason="unrecognized format: expected canonical JSON, @startuml, or a mermaid header",
+            failure_reason="unrecognized format: expected canonical JSON, "
+                           f"{PLANTUML.frame[0]}, or a mermaid header",
         )
     try:
         if fmt is DiagramFormat.canonical:
-            elements, edges = parse_canonical(text)
-            inferred = None
+            family, (elements, edges) = None, parse_canonical(text)
         elif fmt is DiagramFormat.plantuml:
             family, elements, edges = parse_plantuml(text)
-            inferred = _PLANTUML_FAMILY_TYPE[family]
         else:
             family, elements, edges = parse_mermaid(text)
-            inferred = _MERMAID_FAMILY_TYPE[family]
     except DiagramParseError as err:
         return Diagram(
             format=fmt,
@@ -122,7 +116,7 @@ def parse_diagram(
         )
     return Diagram(
         format=fmt,
-        type=hinted if hinted is not None else inferred,
+        type=hinted if hinted is not None else _FAMILY_TYPE.get(family),
         elements=tuple(elements),
         edges=tuple(edges),
         source_digest=digest,

@@ -1,24 +1,24 @@
-"""Render models back out as diagram text.
+"""Render models as diagram text.
 
-Two levels:
+render_diagram_view() writes one of the 18 typed views in its notation
+(_VIEW_NOTATION). A kind appears only when the notation has a construct that
+the lifting table lifts back to it, so render -> parse -> lift is stable for
+everything shown; each view type's inverse of the table is one cached plan.
+serialize_metamodel() writes the whole model: canonical losslessly, PlantUML
+and Mermaid with the dependency structure only.
 
-serialize_metamodel() writes the whole model in one format. Canonical is the
-lossless one; plantuml/mermaid are presentation views that keep only what the
-notation can say and note what they dropped in comment lines.
-
-render_diagram_view() produces one of the 18 typed views. Construct selection
-is the inverse of the lifting table: an entity kind or relation kind appears
-in the output only when the view's notation has a construct that the table
-lifts back to it, so render -> parse -> lift is stable for everything shown.
-Each view type's inverse is worked out once per process, as one cached plan
-that the view's emitter and view_entity_kinds() both read.
-strict=True raises UnrepresentableConstructError instead of dropping.
+Both write every line through _Out, which has one writer per construct and
+takes each keyword, arrow, node shape, header and comment prefix from the
+notation's table in vocabulary.py, the table its parser is built from. A
+lenient render names each construct it drops in an "omitted:" comment;
+strict=True raises UnrepresentableConstructError instead.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Mapping, NamedTuple
+import re
+from typing import Callable, Iterable, NamedTuple
 
 from ..errors import UnrepresentableConstructError
 from ..model import (
@@ -31,6 +31,7 @@ from ..model import (
 from .canonical import dumps_model
 from .lifting import load_lifting_table
 from .types import DiagramFormat, DiagramType
+from .vocabulary import IDENT_START, MERMAID, PLANTUML, Family
 
 # Which notation each typed view is written in.
 _VIEW_NOTATION: dict[DiagramType, str] = {
@@ -54,55 +55,30 @@ _VIEW_NOTATION: dict[DiagramType, str] = {
     DiagramType.StateMachine: "plantuml-state",
 }
 
-NOTATION_FORMAT = {
-    "plantuml-component": DiagramFormat.plantuml,
-    "plantuml-class": DiagramFormat.plantuml,
-    "plantuml-sequence": DiagramFormat.plantuml,
-    "plantuml-state": DiagramFormat.plantuml,
-    "mermaid-graph": DiagramFormat.mermaid,
-    "mermaid-er": DiagramFormat.mermaid,
-}
 
-# Element classes a notation can declare, in preference order, and the edge
-# classes its arrow/relationship constructs parse back to. Only the component
-# notation writes package blocks; "package" comes last, so it writes a kind
-# only when no other class lifts to that kind.
-_NOTATION_ELEMENT_CLASSES: dict[str, tuple[str, ...]] = {
-    "plantuml-component": ("component", "database", "actor", "interface", "queue", "package"),
-    "plantuml-class": ("class", "interface"),
-    "plantuml-sequence": ("participant", "actor"),
-    "plantuml-state": ("state",),
-    "mermaid-graph": ("node", "database", "circle"),
-    "mermaid-er": ("er_entity",),
-}
-_NOTATION_EDGE_CLASSES: dict[str, tuple[str, ...]] = {
-    "plantuml-component": ("dependency", "containment"),
-    "plantuml-class": ("inheritance", "association", "dependency"),
-    "plantuml-sequence": ("message", "reply"),
-    "plantuml-state": ("transition",),
-    "mermaid-graph": ("flow",),
-    "mermaid-er": ("relationship",),
-}
-
-# Mermaid node shapes by element class: opener, closer, and the characters a
-# label may not hold (the shape's closers plus ';', the statement splitter).
-_MERMAID_SHAPES = {
-    "node": ("[", "]", "];"),
-    "database": ("[(", ")]", ")];"),
-    "circle": ("((", "))", ");"),
-}
-
-_PLANTUML_IDENT_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
-_MERMAID_IDENT_OK = _PLANTUML_IDENT_OK + "-"
+def _family(notation: str) -> Family:
+    """The vocabulary of a view notation: "plantuml-class" is PLANTUML.families["class"]."""
+    fmt, _, family = notation.partition("-")
+    return (PLANTUML if fmt == "plantuml" else MERMAID).families[family]
 
 
-def _ident_map(ids: Iterable[str], allowed: str) -> dict[str, str]:
+# graph node class -> its written opener and closer, and what a name in it may not hold
+_SHAPE = {cls: (opener, closer, "".join(dict.fromkeys(closer)) + MERMAID.statement_end)
+          for cls, ((opener, closer), *_) in MERMAID.shapes.items()}
+# per notation (is it Mermaid?): the characters an identifier may not hold
+_NOT_IDENT = {False: re.compile(f"[^{PLANTUML.ident}]"), True: re.compile(f"[^{MERMAID.ident}]")}
+_IDENT_START = re.compile(f"[{IDENT_START}]")
+_ER_COLUMN = re.compile(MERMAID.er_member_column)
+
+
+def _ident_map(ids: Iterable[str], mermaid: bool) -> dict[str, str]:
     """Deterministic injective map from entity ids to notation identifiers."""
+    not_ident = _NOT_IDENT[mermaid]
     out: dict[str, str] = {}
     used: set[str] = set()
     for raw in ids:
-        safe = "".join(c if c in allowed else "_" for c in raw) or "_"
-        if safe[0].isdigit() or safe[0] == "-":
+        safe = not_ident.sub("_", raw) or "_"
+        if not _IDENT_START.match(safe):
             safe = "e_" + safe
         candidate, n = safe, 1
         while candidate in used:
@@ -113,22 +89,6 @@ def _ident_map(ids: Iterable[str], allowed: str) -> dict[str, str]:
     return out
 
 
-def _clean_display(name: str, forbidden: str, strict: bool, notation: str) -> str:
-    return _clean_label(name, forbidden, strict, notation, "name") or "unnamed"
-
-
-def _clean_label(label: str, forbidden: str, strict: bool, notation: str,
-                 what: str = "label") -> str:
-    text = " ".join(label.split())
-    bad = [c for c in forbidden if c in text]
-    if bad:
-        if strict:
-            raise UnrepresentableConstructError(notation, f"{what} containing {bad[0]!r}: {label!r}")
-        for c in bad:
-            text = text.replace(c, "'" if c == '"' else "/")
-    return text
-
-
 def _members_of(entity: Entity) -> list[str]:
     raw = entity.attributes.get("members")
     if not isinstance(raw, (list, tuple)):
@@ -136,34 +96,90 @@ def _members_of(entity: Entity) -> list[str]:
     return [" ".join(str(m).split()) for m in raw if str(m).strip() and str(m).strip() != "}"]
 
 
-def _close(lines: list[str], notes: list[str], notation: str) -> str:
-    """The finished text: one comment line per omitted construct, then the end."""
-    if notation.startswith("mermaid"):
-        lines.extend(f"  %% omitted: {note}" for note in notes)
-    else:
-        lines.extend(f"' omitted: {note}" for note in notes)
-        lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+class _Out:
+    """One text being written: its lines, the constructs it omitted, and one
+    writer per construct, which every view emitter and serialize_metamodel()
+    call. `ident` maps entity ids to the notation's identifiers."""
 
+    def __init__(self, notation: str, strict: bool) -> None:
+        self.notation, self.strict = notation, strict
+        self.mermaid = notation.startswith("mermaid")
+        self.notes: list[str] = []
+        self.ident: dict[str, str] = {}
+        graph = f"{MERMAID.heads['graph'][0]} {MERMAID.directions[0]}"
+        head = MERMAID.heads["er"][0] if notation == "mermaid-er" else graph
+        self.lines = [head if self.mermaid else PLANTUML.frame[0]]
 
-def _skip(notes: list[str], strict: bool, notation: str, construct: str) -> None:
-    if strict:
-        raise UnrepresentableConstructError(notation, construct)
-    if construct not in notes:
-        notes.append(construct)
+    def skip(self, construct: str) -> None:
+        if self.strict:
+            raise UnrepresentableConstructError(self.notation, construct)
+        if construct not in self.notes:
+            self.notes.append(construct)
+
+    def label(self, label: str, forbidden: str = "", what: str = "label") -> str:
+        text = " ".join(label.split())
+        bad = [c for c in forbidden if c in text]
+        if bad:
+            if self.strict:
+                raise UnrepresentableConstructError(
+                    self.notation, f"{what} containing {bad[0]!r}: {label!r}")
+            for c in bad:
+                text = text.replace(c, "'" if c == '"' else "/")
+        return text
+
+    def display(self, name: str, forbidden: str = '"') -> str:
+        """An entity's name, fit to stand between the notation's quotes or brackets."""
+        return self.label(name, forbidden, "name") or "unnamed"
+
+    def declare(self, keyword: str, eid: str, display: str | None = None,
+                block: bool = False, indent: str = "") -> None:
+        """PlantUML's `keyword "display" as ident` or `keyword ident`; block opens a body."""
+        ident = self.ident[eid]
+        line = f'{keyword} "{display}" as {ident}' if display is not None else f"{keyword} {ident}"
+        self.lines.append(indent + line + (" {" if block else ""))
+
+    def edge(self, source: str, arrow: str, target: str, label: str = "") -> None:
+        line = f"{self.ident[source]} {arrow} {self.ident[target]}"
+        line = f"{line} : {label}" if label else line
+        self.lines.append("  " + line if self.mermaid else line)
+
+    def edges(self, relations: list[tuple[Relation, str]]) -> None:
+        """Each relation with its class's arrow; a labelled family's edges fall back to the kind."""
+        family = _family(self.notation)
+        for rel, cls in relations:
+            label = self.label(rel.label) or (rel.kind.value if family.labelled else "")
+            self.edge(rel.source, family.edges[cls][0], rel.target, label)
+
+    def node(self, eid: str, cls: str, name: str) -> None:
+        """A Mermaid graph node, drawn in its class's shape."""
+        opener, closer, forbidden = _SHAPE[cls]
+        self.lines.append(f"  {self.ident[eid]}{opener}{self.display(name, forbidden)}{closer}")
+
+    def flow(self, source: str, target: str, label: str) -> None:
+        """A Mermaid graph edge, its label between the arrow's label marks."""
+        marks = MERMAID.flow_label
+        arrow = MERMAID.families["graph"].edges["flow"][0]
+        label = self.label(label, marks + MERMAID.statement_end)
+        self.edge(source, f"{arrow}{marks}{label}{marks}" if label else arrow, target)
+
+    def comment(self, text: str) -> None:
+        self.lines.append(f"  {MERMAID.comment} {text}" if self.mermaid
+                          else f"{PLANTUML.comment} {text}")
+
+    def text(self) -> str:
+        """The finished text: one comment line per omitted construct, then the end."""
+        for note in self.notes:
+            self.comment(f"omitted: {note}")
+        if not self.mermaid:
+            self.lines.append(PLANTUML.frame[1])
+        return "\n".join(self.lines) + "\n"
 
 
 # ---------------------------------------------------------------- notation emitters
 
-def _emit_plantuml_component(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    notation = "plantuml-component"
-    lines = ["@startuml"]
+def _emit_plantuml_component(out: _Out, entities: list[tuple[Entity, str]],
+                             relations: list[tuple[Relation, str]]) -> None:
+    package = PLANTUML.package
     # containment nesting is expressible only through package blocks: each
     # child nests once, under a parent written with the package class
     children: dict[str, list[str]] = {}
@@ -173,8 +189,8 @@ def _emit_plantuml_component(
     for rel, cls in relations:
         if cls != "containment":
             kept_relations.append((rel, cls))
-        elif rel.target in parent_of or by_id[rel.source][1] != "package":
-            _skip(notes, strict, notation, "containment relation")
+        elif rel.target in parent_of or by_id[rel.source][1] != package:
+            out.skip("containment relation")
         else:
             parent_of[rel.target] = rel.source
             children.setdefault(rel.source, []).append(rel.target)
@@ -187,153 +203,71 @@ def _emit_plantuml_component(
     while stack:
         eid, indent = stack.pop()
         if eid is None:
-            lines.append(f"{indent}}}")
+            out.lines.append(f"{indent}}}")
             continue
         entity, cls = by_id[eid]
-        ident = idents[eid]
-        if cls == "package":
+        display = out.display(entity.name)
+        if cls == package:
             # a package's textual id is its bare name, so edges can only
             # reference it when that name is the ident itself
-            if _clean_display(entity.name, '"', strict, notation) != ident:
-                _skip(notes, strict, notation, f"package display name {entity.name!r}")
-            lines.append(f"{indent}package {ident} {{")
+            if display != out.ident[eid]:
+                out.skip(f"package display name {entity.name!r}")
+            out.declare(package, eid, block=True, indent=indent)
             stack.append((None, indent))
             stack.extend((child, indent + "  ") for child in reversed(children.get(eid, ())))
             continue
-        display = _clean_display(entity.name, '"', strict, notation)
-        lines.append(f'{indent}{cls} "{display}" as {ident}')
-
-    for rel, cls in kept_relations:
-        src, tgt = idents[rel.source], idents[rel.target]
-        label = _clean_label(rel.label, "", strict, notation)
-        suffix = f" : {label}" if label else ""
-        lines.append(f"{src} --> {tgt}{suffix}")
-    return _close(lines, notes, notation)
+        out.declare(cls, eid, display, indent=indent)
+    out.edges(kept_relations)
 
 
-def _emit_plantuml_class(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    notation = "plantuml-class"
-    lines = ["@startuml"]
-    arrows = {"inheritance": "--|>", "association": "-->", "dependency": "..>"}
+def _emit_plantuml_class(out: _Out, entities: list[tuple[Entity, str]],
+                         relations: list[tuple[Relation, str]]) -> None:
     for entity, cls in entities:
-        ident = idents[entity.id]
         members = _members_of(entity)
+        out.declare(cls, entity.id, block=bool(members))
         if members:
-            lines.append(f"{cls} {ident} {{")
-            lines.extend(f"  {m}" for m in members)
-            lines.append("}")
-        else:
-            lines.append(f"{cls} {ident}")
-    for rel, cls in relations:
-        label = _clean_label(rel.label, "", strict, notation)
-        suffix = f" : {label}" if label else ""
-        lines.append(f"{idents[rel.source]} {arrows[cls]} {idents[rel.target]}{suffix}")
-    return _close(lines, notes, notation)
+            out.lines.extend(f"  {m}" for m in members)
+            out.lines.append("}")
+    out.edges(relations)
 
 
-def _emit_plantuml_sequence(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    notation = "plantuml-sequence"
-    lines = ["@startuml"]
+def _emit_plantuml_sequence(out: _Out, entities: list[tuple[Entity, str]],
+                            relations: list[tuple[Relation, str]]) -> None:
     for entity, cls in entities:
-        ident = idents[entity.id]
-        display = _clean_display(entity.name, '"', strict, notation)
-        lines.append(f'participant "{display}" as {ident}')
-    for rel, cls in relations:
-        text = _clean_label(rel.label, "", strict, notation) or rel.kind.value
-        arrow = "-->" if cls == "reply" else "->"
-        lines.append(f"{idents[rel.source]} {arrow} {idents[rel.target]} : {text}")
-    return _close(lines, notes, notation)
+        out.declare(cls, entity.id, out.display(entity.name))
+    out.edges(relations)
 
 
-def _emit_plantuml_state(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    notation = "plantuml-state"
-    lines = ["@startuml"]
-    for entity, _cls in entities:
-        ident = idents[entity.id]
-        display = _clean_display(entity.name, '"', strict, notation)
-        if display == ident:
-            lines.append(f"state {ident}")
-        else:
-            lines.append(f'state "{display}" as {ident}')
-    for rel, _cls in relations:
-        label = _clean_label(rel.label, "", strict, notation)
-        suffix = f" : {label}" if label else ""
-        lines.append(f"{idents[rel.source]} --> {idents[rel.target]}{suffix}")
-    return _close(lines, notes, notation)
-
-
-def _emit_mermaid_graph(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    notation = "mermaid-graph"
-    lines = ["graph TD"]
+def _emit_plantuml_state(out: _Out, entities: list[tuple[Entity, str]],
+                         relations: list[tuple[Relation, str]]) -> None:
     for entity, cls in entities:
-        ident = idents[entity.id]
-        open_, close, forbidden = _MERMAID_SHAPES[cls]
-        display = _clean_display(entity.name, forbidden, strict, notation)
-        lines.append(f"  {ident}{open_}{display}{close}")
+        display = out.display(entity.name)
+        out.declare(cls, entity.id, None if display == out.ident[entity.id] else display)
+    out.edges(relations)
+
+
+def _emit_mermaid_graph(out: _Out, entities: list[tuple[Entity, str]],
+                        relations: list[tuple[Relation, str]]) -> None:
+    for entity, cls in entities:
+        out.node(entity.id, cls, entity.name)
     for rel, _cls in relations:
-        label = _clean_label(rel.label, "|;", strict, notation)
-        mid = f"-->|{label}|" if label else "-->"
-        lines.append(f"  {idents[rel.source]} {mid} {idents[rel.target]}")
-    return _close(lines, notes, notation)
+        out.flow(rel.source, rel.target, rel.label)
 
 
-def _emit_mermaid_er(
-    entities: list[tuple[Entity, str]],
-    relations: list[tuple[Relation, str]],
-    idents: Mapping[str, str],
-    strict: bool,
-    notes: list[str],
-) -> str:
-    import re
-
-    notation = "mermaid-er"
-    attr_ok = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-    type_ok = re.compile(r"^[A-Za-z_][A-Za-z0-9_()]*$")
-    lines = ["erDiagram"]
+def _emit_mermaid_er(out: _Out, entities: list[tuple[Entity, str]],
+                     relations: list[tuple[Relation, str]]) -> None:
     for entity, _cls in entities:
-        ident = idents[entity.id]
+        ident = out.ident[entity.id]
         columns = []
         for member in _members_of(entity):
-            # stored as "name (type)"; anything else cannot round-trip
-            m = re.fullmatch(r"(\S+)\s*\(([^()]+)\)", member)
-            if m and attr_ok.match(m.group(1)) and type_ok.match(m.group(2)):
+            # a member "name (type)" is a column; anything else cannot round-trip
+            m = _ER_COLUMN.fullmatch(member)
+            if m:
                 columns.append(f"    {m.group(2)} {m.group(1)}")
             else:
-                _skip(notes, strict, notation, f"attribute {member!r}")
-        if columns:
-            lines.append(f"  {ident} {{")
-            lines.extend(columns)
-            lines.append("  }")
-        else:
-            lines.append(f"  {ident}")
-    for rel, _cls in relations:
-        text = _clean_label(rel.label, "", strict, notation) or rel.kind.value
-        lines.append(f"  {idents[rel.source]} ||--o{{ {idents[rel.target]} : {text}")
-    return _close(lines, notes, notation)
+                out.skip(f"attribute {member!r}")
+        out.lines.extend([f"  {ident} {{", *columns, "  }"] if columns else [f"  {ident}"])
+    out.edges(relations)
 
 
 # ---------------------------------------------------------------- typed views
@@ -347,7 +281,7 @@ class _ViewPlan(NamedTuple):
 @functools.cache
 def _view_plan(dtype: DiagramType) -> _ViewPlan:
     """Invert the lifting table for one view: kind -> construct class."""
-    notation = _VIEW_NOTATION[dtype]
+    family = _family(_VIEW_NOTATION[dtype])
     rules = load_lifting_table()["diagram_types"][dtype.value]
     lifted = {
         cls: EntityKind(rule["kind"])
@@ -355,17 +289,17 @@ def _view_plan(dtype: DiagramType) -> _ViewPlan:
         if rule.get("action") != "ignore"
     }
     entity_class: dict[EntityKind, str] = {}
-    for cls in _NOTATION_ELEMENT_CLASSES[notation]:
+    for cls in family.elements:
         if cls in lifted:
             entity_class.setdefault(lifted[cls], cls)
     relation_class: dict[RelationKind, str] = {}
-    for cls in _NOTATION_EDGE_CLASSES[notation]:
+    for cls in family.edges:
         if cls in rules["edges"]:
             relation_class.setdefault(RelationKind(rules["edges"][cls]), cls)
     return _ViewPlan(entity_class, relation_class, frozenset(lifted.values()))
 
 
-_EMITTERS: dict[str, Callable] = {
+_EMITTERS: dict[str, Callable[[_Out, list, list], None]] = {
     "plantuml-component": _emit_plantuml_component,
     "plantuml-class": _emit_plantuml_class,
     "plantuml-sequence": _emit_plantuml_sequence,
@@ -373,6 +307,7 @@ _EMITTERS: dict[str, Callable] = {
     "mermaid-graph": _emit_mermaid_graph,
     "mermaid-er": _emit_mermaid_er,
 }
+NOTATION_FORMAT = {notation: DiagramFormat(notation.partition("-")[0]) for notation in _EMITTERS}
 
 
 def view_notation(dtype: DiagramType) -> str:
@@ -390,9 +325,8 @@ def view_entity_kinds(dtype: DiagramType) -> frozenset[EntityKind]:
 
 def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = False) -> str:
     """Write the slice of the model this view type covers, in its notation."""
-    notation = _VIEW_NOTATION[dtype]
+    out = _Out(_VIEW_NOTATION[dtype], strict)
     entity_class, relation_class, kinds = _view_plan(dtype)
-    notes: list[str] = []
 
     entities: list[tuple[Entity, str]] = []
     for entity in model.entities:
@@ -401,7 +335,7 @@ def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = Fal
             entities.append((entity, cls))
         elif entity.kind in kinds:
             # liftable into this view but not expressible by its notation
-            _skip(notes, strict, notation, f"entity kind {entity.kind.value}")
+            out.skip(f"entity kind {entity.kind.value}")
     rendered = {e.id for e, _ in entities}
 
     relations: list[tuple[Relation, str]] = []
@@ -410,23 +344,27 @@ def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = Fal
             continue
         cls = relation_class.get(rel.kind)
         if cls is None:
-            _skip(notes, strict, notation, f"relation kind {rel.kind.value}")
+            out.skip(f"relation kind {rel.kind.value}")
             continue
         relations.append((rel, cls))
 
-    allowed = _MERMAID_IDENT_OK if notation.startswith("mermaid") else _PLANTUML_IDENT_OK
-    idents = _ident_map((e.id for e, _ in entities), allowed)
-    return _EMITTERS[notation](entities, relations, idents, strict, notes)
+    out.ident = _ident_map((e.id for e, _ in entities), out.mermaid)
+    _EMITTERS[out.notation](out, entities, relations)
+    return out.text()
 
 
 # ---------------------------------------------------------------- whole model
 
-_GENERIC_CLASS: dict[EntityKind, str] = {
-    EntityKind.DataStore: "database",
-    EntityKind.Queue: "queue",
-    EntityKind.Stakeholder: "actor",
-    EntityKind.Role: "actor",
-    EntityKind.ApiInterface: "interface",
+# The element class the whole-model export draws a kind with, if not its family's first.
+_GENERIC_CLASS: dict[DiagramFormat, dict[EntityKind, str]] = {
+    DiagramFormat.plantuml: {
+        EntityKind.DataStore: "database",
+        EntityKind.Queue: "queue",
+        EntityKind.Stakeholder: "actor",
+        EntityKind.Role: "actor",
+        EntityKind.ApiInterface: "interface",
+    },
+    DiagramFormat.mermaid: {EntityKind.DataStore: "database", EntityKind.Queue: "circle"},
 }
 
 
@@ -436,60 +374,53 @@ def serialize_metamodel(
     grouping: str = "flat",
     strict: bool = False,
 ) -> str:
-    """Whole-model export. Canonical is lossless; the notations keep the
-    dependency structure and note every construct they cannot say."""
+    """Whole-model export. Canonical is lossless. PlantUML draws every entity
+    in the component family and Mermaid in the graph family, with the element
+    class _GENERIC_CLASS picks; they keep dependency and realization edges
+    (Mermaid only dependency) and note every construct they cannot say.
+
+    strict=True raises UnrepresentableConstructError on the first construct
+    the notation cannot say. That includes every containment relation, so a
+    strict PlantUML or Mermaid export of a model with containment always
+    raises, although the component view could draw it as nested packages."""
     fmt = format if isinstance(format, DiagramFormat) else DiagramFormat(format)
     if grouping not in ("flat", "by-layer"):
         raise ValueError(f"unknown grouping: {grouping!r}")
     if fmt is DiagramFormat.canonical:
         return dumps_model(model)
 
+    out = _Out(fmt.value, strict)
     entities = list(model.entities)
     if grouping == "by-layer":
         entities.sort(key=lambda e: (int(e.layer), e.id))
-    notes: list[str] = []
     renderable = {RelationKind.dependency, RelationKind.realization}
     relations = []
     for rel in model.relations:
         if rel.kind in renderable:
             relations.append(rel)
         else:
-            _skip(notes, strict, fmt.value, f"relation kind {rel.kind.value}")
+            out.skip(f"relation kind {rel.kind.value}")
 
-    if fmt is DiagramFormat.plantuml:
-        idents = _ident_map((e.id for e in entities), _PLANTUML_IDENT_OK)
-        lines = ["@startuml"]
-        current_layer = None
-        for entity in entities:
-            if grouping == "by-layer" and entity.layer is not current_layer:
-                current_layer = entity.layer
-                lines.append(f"' layer {int(current_layer)}: {current_layer.name}")
-            cls = _GENERIC_CLASS.get(entity.kind, "component")
-            display = _clean_display(entity.name, '"', strict, "plantuml")
-            lines.append(f'{cls} "{display}" as {idents[entity.id]}')
-        for rel in relations:
-            arrow = "..>" if rel.kind is RelationKind.realization else "-->"
-            label = _clean_label(rel.label, "", strict, "plantuml")
-            suffix = f" : {label}" if label else ""
-            lines.append(f"{idents[rel.source]} {arrow} {idents[rel.target]}{suffix}")
-        return _close(lines, notes, "plantuml")
-
-    idents = _ident_map((e.id for e in entities), _MERMAID_IDENT_OK)
-    lines = ["graph TD"]
+    family = MERMAID.families["graph"] if out.mermaid else PLANTUML.families["component"]
+    out.ident = _ident_map((e.id for e in entities), out.mermaid)
     current_layer = None
     for entity in entities:
         if grouping == "by-layer" and entity.layer is not current_layer:
             current_layer = entity.layer
-            lines.append(f"  %% layer {int(current_layer)}: {current_layer.name}")
-        shape = {EntityKind.DataStore: "database", EntityKind.Queue: "circle"}.get(entity.kind)
-        open_, close, bad = _MERMAID_SHAPES[shape or "node"]
-        display = _clean_display(entity.name, bad, strict, "mermaid")
-        lines.append(f"  {idents[entity.id]}{open_}{display}{close}")
+            out.comment(f"layer {int(current_layer)}: {current_layer.name}")
+        cls = _GENERIC_CLASS[fmt].get(entity.kind, family.elements[0])
+        if out.mermaid:
+            out.node(entity.id, cls, entity.name)
+        else:
+            out.declare(cls, entity.id, out.display(entity.name))
+    # a dependency takes the solid arrow, a realization the dotted one
+    solid_dotted = PLANTUML.families["component"].edges["dependency"]
     for rel in relations:
-        if rel.kind is RelationKind.realization:
-            _skip(notes, strict, "mermaid", "relation kind realization")
-            continue
-        label = _clean_label(rel.label, "|;", strict, "mermaid")
-        mid = f"-->|{label}|" if label else "-->"
-        lines.append(f"  {idents[rel.source]} {mid} {idents[rel.target]}")
-    return _close(lines, notes, "mermaid")
+        if not out.mermaid:
+            arrow = solid_dotted[rel.kind is RelationKind.realization]
+            out.edge(rel.source, arrow, rel.target, out.label(rel.label))
+        elif rel.kind is RelationKind.realization:
+            out.skip("relation kind realization")
+        else:
+            out.flow(rel.source, rel.target, rel.label)
+    return out.text()
