@@ -1,5 +1,6 @@
 """Rendered views parse back: every lenient view of a seeded corpus parses, and
-parse_diagram's full result over the corpus and the desk models is pinned."""
+parse_diagram's full result over the corpus and the desk models is pinned, as
+is the model each parsed view lifts to."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import functools
 import hashlib
 import random
 
-from archmeta.diagrams import DiagramType, parse_diagram
+from archmeta.diagrams import DiagramType, dumps_model, lift_to_metamodel, parse_diagram
 from archmeta.diagrams.render import render_diagram_view, view_format
-from archmeta.errors import UnrepresentableConstructError
+from archmeta.errors import ArchmetaError, UnrepresentableConstructError
 from tests.support.strategies import random_containment_dag, random_model, random_nested_model
 
 
@@ -43,8 +44,8 @@ def describe(diagram) -> str:
     return "\n".join(lines)
 
 
-def parse_entries(models):
-    """(key, described parse) for every strict and lenient view of each model;
+def views(models):
+    """(key, parsed view) for every strict and lenient view of each model;
     a strict render that raises contributes its error instead."""
     for name, model in models:
         for dtype in DiagramType:
@@ -55,17 +56,50 @@ def parse_entries(models):
                 except UnrepresentableConstructError as exc:
                     yield key, f"raised: {exc}"
                     continue
-                yield key, describe(parse_diagram(text, view_format(dtype), dtype))
+                yield key, parse_diagram(text, view_format(dtype), dtype)
+
+
+def parse_entries(models):
+    """(key, described parse) for every view of views(models)."""
+    for key, view in views(models):
+        yield key, view if isinstance(view, str) else describe(view)
+
+
+def lift_entries(models):
+    """(key, canonical JSON of the lifted model) for every parsed view of
+    views(models); a lift that raises contributes its error instead."""
+    for key, view in views(models):
+        if isinstance(view, str) or not view.parsed:
+            continue
+        try:
+            yield key, dumps_model(lift_to_metamodel([(key, view)]))
+        except ArchmetaError as exc:
+            yield key, f"raised {type(exc).__name__}: {exc}"
+
+
+def digest_of(entries) -> str:
+    digest = hashlib.sha256()
+    for key, entry in entries:
+        digest.update(f"{key}\0{entry}\0".encode())
+    return digest.hexdigest()
+
+
+def desk(original_model, process_a_model, process_b_model) -> list:
+    return [("original", original_model), ("process_a", process_a_model),
+            ("process_b", process_b_model)]
 
 
 # sha256 over parse_entries of the three desk models and the corpus above
 PARSED_DIGEST = "989fcff89ddb08d0c0e0f24901d0d9386767e8546e4548e0ac4f3a0ba85a266b"
+# sha256 over lift_entries of the same models
+LIFTED_DIGEST = "f74dc69c1a1d53409d5cead71e3e6d77d68750b5c1d922908ac9907ae1980dab"
 
 
 def test_parsed_views_are_pinned(original_model, process_a_model, process_b_model):
-    desk = [("original", original_model), ("process_a", process_a_model),
-            ("process_b", process_b_model)]
-    digest = hashlib.sha256()
-    for key, entry in parse_entries(desk + list(corpus())):
-        digest.update(f"{key}\0{entry}\0".encode())
-    assert digest.hexdigest() == PARSED_DIGEST
+    models = desk(original_model, process_a_model, process_b_model) + list(corpus())
+    assert digest_of(parse_entries(models)) == PARSED_DIGEST
+
+
+def test_lifted_views_are_pinned(original_model, process_a_model, process_b_model):
+    models = desk(original_model, process_a_model, process_b_model) + list(corpus())
+    assert digest_of(lift_entries(models)) == LIFTED_DIGEST
