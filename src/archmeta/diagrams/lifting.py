@@ -1,12 +1,14 @@
 """Lift parsed diagrams into typed model fragments.
 
-The vocabulary lives in data/lifting_table.json: per diagram type it maps
+The lifting rules live in data/lifting_table.json: per diagram type they map
 element classes to entity kinds (with an optional fixed layer, or an ignore
-action) and edge classes to relation kinds. Entities land on the diagram
-type's primary layer unless a rule pins a different one; the override flag is
-set exactly when the resulting layer differs from the kind's home layer.
+action) and edge classes to relation kinds. _rules() types them once, which
+also checks the data file; lift_diagram() applies them and render.py inverts
+them. Entities land on the type's home layer (types._VIEWS) unless a rule
+pins another; the override flag is set exactly when the resulting layer
+differs from the kind's home layer.
 
-Canonical diagrams bypass the table: their element properties carry the full
+Canonical diagrams bypass the rules: their element properties carry the full
 entity record, so lifting reconstructs it exactly, preserved relation ids
 included.
 """
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..errors import (
     AmbiguousElementClassError,
@@ -48,22 +50,45 @@ class ModelFragment:
     diagram: DiagramRef | None = None
 
 
+class _Rules(NamedTuple):
+    # element class -> (kind, layer, layer_override), or None to drop the element
+    elements: dict[str, tuple[EntityKind, AbstractionLayer, bool] | None]
+    edges: dict[str, RelationKind]  # edge class -> relation kind
+
+
 @lru_cache(maxsize=1)
 def load_lifting_table() -> dict:
+    """The parsed data file, as written; _rules() types and checks it."""
     text = resources.files("archmeta.data").joinpath("lifting_table.json").read_text("utf-8")
-    table = json.loads(text)
-    # Fail fast on a broken data file rather than at first use.
-    for type_name, rules in table["diagram_types"].items():
-        DiagramType(type_name)
+    return json.loads(text)
+
+
+@lru_cache(maxsize=1)
+def _rules() -> dict[DiagramType, _Rules]:
+    """Every diagram type's rules, typed. A type name, kind, layer or
+    relation kind the enums lack raises here, on first use."""
+    typed = {}
+    for type_name, rules in load_lifting_table()["diagram_types"].items():
+        dtype = DiagramType(type_name)
+        elements = {}
         for cls, rule in rules["elements"].items():
             if rule.get("action") == "ignore":
+                elements[cls] = None
                 continue
-            EntityKind(rule["kind"])
-            if "layer" in rule:
-                AbstractionLayer[rule["layer"]]
-        for cls, kind in rules["edges"].items():
-            RelationKind(kind)
-    return table
+            kind = EntityKind(rule["kind"])
+            layer = AbstractionLayer[rule["layer"]] if "layer" in rule else primary_layer(dtype)
+            elements[cls] = (kind, layer, layer is not layer_of(kind))
+        edges = {cls: RelationKind(kind) for cls, kind in rules["edges"].items()}
+        typed[dtype] = _Rules(elements, edges)
+    return typed
+
+
+def _rule(rules: dict, cls: str, what: str, dtype: DiagramType):
+    try:
+        return rules[cls]
+    except KeyError:
+        raise AmbiguousElementClassError(
+            f"no lifting rule for {what} class {cls!r} in a {dtype.value} diagram") from None
 
 
 def _lift_canonical(diagram: Diagram, ref: DiagramRef | None) -> ModelFragment:
@@ -93,7 +118,7 @@ def _lift_canonical(diagram: Diagram, ref: DiagramRef | None) -> ModelFragment:
 
 
 def lift_diagram(diagram: Diagram, name: str = "") -> ModelFragment:
-    """Lift one parsed diagram. Raises on failed parses and unknown vocabulary."""
+    """Lift one parsed diagram. Raises on failed parses and on classes without a rule."""
     if not diagram.parsed:
         raise NotParsedError(f"cannot lift a failed parse: {diagram.failure_reason}")
     ref = None
@@ -111,56 +136,37 @@ def lift_diagram(diagram: Diagram, name: str = "") -> ModelFragment:
             "diagram type is required to lift plantuml/mermaid content; "
             "pass a type hint (the notation alone is ambiguous)"
         )
-    rules = load_lifting_table()["diagram_types"][diagram.type.value]
-    base_layer = primary_layer(diagram.type)
-
+    rules = _rules()[diagram.type]
     entities: list[Entity] = []
     dropped: set[str] = set()
     for el in diagram.elements:
-        rule = rules["elements"].get(el.element_class)
+        rule = _rule(rules.elements, el.element_class, "element", diagram.type)
         if rule is None:
-            raise AmbiguousElementClassError(
-                f"no lifting rule for element class {el.element_class!r} "
-                f"in a {diagram.type.value} diagram"
-            )
-        if rule.get("action") == "ignore":
             dropped.add(el.local_id)
             continue
-        kind = EntityKind(rule["kind"])
-        layer = AbstractionLayer[rule["layer"]] if "layer" in rule else base_layer
-        attributes = {}
+        kind, layer, layer_override = rule
         members = el.properties.get("members")
-        if members:
-            attributes["members"] = list(members)
         entities.append(
             Entity(
                 id=el.local_id,
                 kind=kind,
                 name=el.display_name,
                 layer=layer,
-                layer_override=layer is not layer_of(kind),
-                attributes=attributes,
+                layer_override=layer_override,
+                attributes={"members": list(members)} if members else {},
             )
         )
 
     relations: list[Relation] = []
-    counter = 0
     for edge in diagram.edges:
         if edge.source in dropped or edge.target in dropped:
             continue
-        kind_name = rules["edges"].get(edge.edge_class)
-        if kind_name is None:
-            raise AmbiguousElementClassError(
-                f"no lifting rule for edge class {edge.edge_class!r} "
-                f"in a {diagram.type.value} diagram"
-            )
-        counter += 1
         relations.append(
             Relation(
-                id=f"rel-{counter:03d}",
+                id=f"rel-{len(relations) + 1:03d}",
                 source=edge.source,
                 target=edge.target,
-                kind=RelationKind(kind_name),
+                kind=_rule(rules.edges, edge.edge_class, "edge", diagram.type),
                 label=edge.label,
             )
         )

@@ -65,9 +65,14 @@ _RE_EDGE = {
 }
 
 
+_UNSUPPORTED = frozenset(word.casefold() for word in MERMAID.unsupported)
+
+
 def _unsupported_check(line: str, lineno: int) -> None:
-    word = line.split(None, 1)[0] if line else ""
-    if word.lower() in MERMAID.unsupported:
+    """Raise if the line's first word, less a trailing colon (accTitle: x),
+    names a construct outside the subset, in any case."""
+    word = line.split(None, 1)[0].removesuffix(":") if line else ""
+    if word.casefold() in _UNSUPPORTED:
         raise UnsupportedConstructError(word, lineno)
 
 

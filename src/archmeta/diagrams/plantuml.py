@@ -103,12 +103,17 @@ def _frame(text: str) -> list[tuple[int, str]]:
 
 
 def detect_family(text: str) -> str:
-    """Pick the grammar family from the first line that selects one;
-    component, the last in the order, is also the default."""
+    """Pick the grammar family of a text, framed or not: see _family_of."""
     try:
         body = _frame(text)
     except DiagramSyntaxError:
         body = _significant_lines(text, _COMMENT)
+    return _family_of(body)
+
+
+def _family_of(body: list[tuple[int, str]]) -> str:
+    """The family of the first line that selects one; component, the last in
+    the order, is also the default."""
     for _, line in body:
         m = _RE_FAMILY.match(line)
         if m:
@@ -243,6 +248,6 @@ def parse_plantuml(text: str) -> tuple[str, list[DiagramElement], list[DiagramEd
     Raises DiagramSyntaxError or UnsupportedConstructError on any deviation.
     """
     body = _frame(text)
-    family = detect_family(text)
+    family = _family_of(body)
     sheet = _FAMILY_PARSERS[family](body)
     return family, sheet.diagram_elements(), sheet.edges

@@ -1,9 +1,10 @@
 """Render models as diagram text.
 
 render_diagram_view() writes one of the 18 typed views in its notation
-(_VIEW_NOTATION). A kind appears only when the notation has a construct that
-the lifting table lifts back to it, so render -> parse -> lift is stable for
-everything shown; each view type's inverse of the table is one cached plan.
+(types._VIEWS). A kind appears only when the notation has a construct that
+the view's lifting rules lift back to it, so render -> parse -> lift is
+stable for everything shown; each view type's inverse of its rules is one
+cached plan.
 serialize_metamodel() writes the whole model: canonical losslessly, PlantUML
 and Mermaid with the dependency structure only.
 
@@ -29,32 +30,9 @@ from ..model import (
     RelationKind,
 )
 from .canonical import dumps_model
-from .lifting import load_lifting_table
-from .types import DiagramFormat, DiagramType
+from .lifting import _rules
+from .types import _VIEWS, DiagramFormat, DiagramType
 from .vocabulary import IDENT_START, MERMAID, PLANTUML, Family
-
-# Which notation each typed view is written in.
-_VIEW_NOTATION: dict[DiagramType, str] = {
-    DiagramType.BusinessContext: "plantuml-component",
-    DiagramType.BusinessCapabilityMap: "plantuml-component",
-    DiagramType.DomainModel: "plantuml-class",
-    DiagramType.BusinessProcess: "mermaid-graph",
-    DiagramType.DddContextMap: "plantuml-component",
-    DiagramType.CqrsView: "plantuml-component",
-    DiagramType.EventDrivenView: "mermaid-graph",
-    DiagramType.CleanOnionView: "plantuml-component",
-    DiagramType.SystemContainer: "plantuml-component",
-    DiagramType.ComponentView: "plantuml-component",
-    DiagramType.DeploymentInfrastructure: "plantuml-component",
-    DiagramType.IntegrationApi: "plantuml-component",
-    DiagramType.StranglerMigration: "plantuml-component",
-    DiagramType.ClassModuleStructure: "plantuml-class",
-    DiagramType.SequenceInteraction: "plantuml-sequence",
-    DiagramType.DataModelSchema: "mermaid-er",
-    DiagramType.RuntimeTopology: "plantuml-component",
-    DiagramType.StateMachine: "plantuml-state",
-}
-
 
 def _family(notation: str) -> Family:
     """The vocabulary of a view notation: "plantuml-class" is PLANTUML.families["class"]."""
@@ -275,27 +253,23 @@ def _emit_mermaid_er(out: _Out, entities: list[tuple[Entity, str]],
 class _ViewPlan(NamedTuple):
     entity_class: dict[EntityKind, str]  # kind -> the notation's element class
     relation_class: dict[RelationKind, str]  # kind -> the notation's edge class
-    kinds: frozenset[EntityKind]  # every kind the view's vocabulary lifts to
+    kinds: frozenset[EntityKind]  # every kind the view's lifting rules lift to
 
 
 @functools.cache
 def _view_plan(dtype: DiagramType) -> _ViewPlan:
-    """Invert the lifting table for one view: kind -> construct class."""
-    family = _family(_VIEW_NOTATION[dtype])
-    rules = load_lifting_table()["diagram_types"][dtype.value]
-    lifted = {
-        cls: EntityKind(rule["kind"])
-        for cls, rule in rules["elements"].items()
-        if rule.get("action") != "ignore"
-    }
+    """Invert the lifting rules for one view: kind -> construct class."""
+    family = _family(_VIEWS[dtype][1])
+    rules = _rules()[dtype]
+    lifted = {cls: rule[0] for cls, rule in rules.elements.items() if rule is not None}
     entity_class: dict[EntityKind, str] = {}
     for cls in family.elements:
         if cls in lifted:
             entity_class.setdefault(lifted[cls], cls)
     relation_class: dict[RelationKind, str] = {}
     for cls in family.edges:
-        if cls in rules["edges"]:
-            relation_class.setdefault(RelationKind(rules["edges"][cls]), cls)
+        if cls in rules.edges:
+            relation_class.setdefault(rules.edges[cls], cls)
     return _ViewPlan(entity_class, relation_class, frozenset(lifted.values()))
 
 
@@ -311,21 +285,21 @@ NOTATION_FORMAT = {notation: DiagramFormat(notation.partition("-")[0]) for notat
 
 
 def view_notation(dtype: DiagramType) -> str:
-    return _VIEW_NOTATION[dtype]
+    return _VIEWS[dtype][1]
 
 
 def view_format(dtype: DiagramType) -> DiagramFormat:
-    return NOTATION_FORMAT[_VIEW_NOTATION[dtype]]
+    return NOTATION_FORMAT[_VIEWS[dtype][1]]
 
 
 def view_entity_kinds(dtype: DiagramType) -> frozenset[EntityKind]:
-    """All entity kinds the view's lifting vocabulary can produce."""
+    """All entity kinds the view's lifting rules can produce."""
     return _view_plan(dtype).kinds
 
 
 def render_diagram_view(model: Metamodel, dtype: DiagramType, strict: bool = False) -> str:
     """Write the slice of the model this view type covers, in its notation."""
-    out = _Out(_VIEW_NOTATION[dtype], strict)
+    out = _Out(_VIEWS[dtype][1], strict)
     entity_class, relation_class, kinds = _view_plan(dtype)
 
     entities: list[tuple[Entity, str]] = []

@@ -38,31 +38,33 @@ class DiagramType(enum.Enum):
     StateMachine = "StateMachine"
 
 
-# Home layer of each diagram type's content.
-PRIMARY_LAYER: dict[DiagramType, AbstractionLayer] = {
-    DiagramType.BusinessContext: AbstractionLayer.Business,
-    DiagramType.BusinessCapabilityMap: AbstractionLayer.Business,
-    DiagramType.BusinessProcess: AbstractionLayer.Business,
-    DiagramType.DomainModel: AbstractionLayer.BusinessConceptual,
-    DiagramType.DddContextMap: AbstractionLayer.BusinessSystem,
-    DiagramType.SystemContainer: AbstractionLayer.System,
-    DiagramType.ComponentView: AbstractionLayer.System,
-    DiagramType.IntegrationApi: AbstractionLayer.System,
-    DiagramType.CqrsView: AbstractionLayer.SystemPattern,
-    DiagramType.EventDrivenView: AbstractionLayer.SystemPattern,
-    DiagramType.CleanOnionView: AbstractionLayer.SystemStructural,
-    DiagramType.DeploymentInfrastructure: AbstractionLayer.SystemRuntime,
-    DiagramType.RuntimeTopology: AbstractionLayer.Runtime,
-    DiagramType.ClassModuleStructure: AbstractionLayer.Implementation,
-    DiagramType.DataModelSchema: AbstractionLayer.Implementation,
-    DiagramType.SequenceInteraction: AbstractionLayer.ImplementationBehavioral,
-    DiagramType.StateMachine: AbstractionLayer.Behavioral,
-    DiagramType.StranglerMigration: AbstractionLayer.Evolutionary,
+# One row per view type: the home layer its content lands on, and the notation
+# render.py writes it in ("plantuml-class" is PlantUML's class family).
+_VIEWS: dict[DiagramType, tuple[AbstractionLayer, str]] = {
+    DiagramType.BusinessContext: (AbstractionLayer.Business, "plantuml-component"),
+    DiagramType.BusinessCapabilityMap: (AbstractionLayer.Business, "plantuml-component"),
+    DiagramType.BusinessProcess: (AbstractionLayer.Business, "mermaid-graph"),
+    DiagramType.DomainModel: (AbstractionLayer.BusinessConceptual, "plantuml-class"),
+    DiagramType.DddContextMap: (AbstractionLayer.BusinessSystem, "plantuml-component"),
+    DiagramType.SystemContainer: (AbstractionLayer.System, "plantuml-component"),
+    DiagramType.ComponentView: (AbstractionLayer.System, "plantuml-component"),
+    DiagramType.IntegrationApi: (AbstractionLayer.System, "plantuml-component"),
+    DiagramType.CqrsView: (AbstractionLayer.SystemPattern, "plantuml-component"),
+    DiagramType.EventDrivenView: (AbstractionLayer.SystemPattern, "mermaid-graph"),
+    DiagramType.CleanOnionView: (AbstractionLayer.SystemStructural, "plantuml-component"),
+    DiagramType.DeploymentInfrastructure: (AbstractionLayer.SystemRuntime, "plantuml-component"),
+    DiagramType.RuntimeTopology: (AbstractionLayer.Runtime, "plantuml-component"),
+    DiagramType.ClassModuleStructure: (AbstractionLayer.Implementation, "plantuml-class"),
+    DiagramType.DataModelSchema: (AbstractionLayer.Implementation, "mermaid-er"),
+    DiagramType.SequenceInteraction: (AbstractionLayer.ImplementationBehavioral, "plantuml-sequence"),
+    DiagramType.StateMachine: (AbstractionLayer.Behavioral, "plantuml-state"),
+    DiagramType.StranglerMigration: (AbstractionLayer.Evolutionary, "plantuml-component"),
 }
+PRIMARY_LAYER: dict[DiagramType, AbstractionLayer] = {t: layer for t, (layer, _) in _VIEWS.items()}
 
 
 def primary_layer(dtype: DiagramType) -> AbstractionLayer:
-    return PRIMARY_LAYER[dtype]
+    return _VIEWS[dtype][0]
 
 
 @dataclass(frozen=True)

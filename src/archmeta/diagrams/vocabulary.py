@@ -47,6 +47,7 @@ WORD = "A-Za-z0-9_"  # the characters of a PlantUML identifier or an ER column's
 PSEUDO_STATE = "[*]"  # in both notations, a state diagram's start (as a source) or end
 _PACKAGE = "package"  # PlantUML's one block keyword: its body nests what it contains
 _COLUMN_NAME = identifier(WORD)  # an ER column's name
+_COLUMN_TYPE = identifier(WORD + "()")  # an ER column's type, such as varchar(20)
 
 PLANTUML = SimpleNamespace(
     frame=("@startuml", "@enduml"),
@@ -103,9 +104,9 @@ MERMAID = SimpleNamespace(
     statement_end=";",  # graph statements may share a line
     er_arrows=r"[|}o{]{2}--[|}o{]{2}",  # every relationship arrow read, cardinalities and all
     er_name=_COLUMN_NAME,
-    er_type=identifier(WORD + "()"),  # a column's type, such as varchar(20)
+    er_type=_COLUMN_TYPE,
     er_member="{name} ({type})",  # a column, as a parsed entity keeps it in its members
-    er_member_column=rf"({_COLUMN_NAME})\s*\(({_COLUMN_NAME})\)",  # a member it can write
+    er_member_column=rf"({_COLUMN_NAME})\s*\(({_COLUMN_TYPE})\)",  # a member it can write
     unsupported=(
         "subgraph", "classdef", "class", "click", "style", "linkstyle", "note",
         "loop", "alt", "opt", "par", "rect", "activate", "deactivate",

@@ -712,8 +712,22 @@ def test_validate_imports_only_what_it_runs(desk_dir):
         f"    assert main(['validate', '--model', {model!r}]) == 1\n"
     )
     assert "archmeta.constraints" in loaded
-    for unused in ("archmeta.diagrams.render", "archmeta.prompts", "archmeta.extract",
-                   "archmeta.metrics", "archmeta.remote"):
+    for unused in ("archmeta.diagrams.lifting", "archmeta.diagrams.render", "archmeta.prompts",
+                   "archmeta.extract", "archmeta.metrics", "archmeta.remote"):
+        assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
+
+
+def test_trace_imports_only_what_it_runs(desk_dir):
+    model = str(desk_dir / "process_b.archmeta.json")
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from archmeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['trace', '--model', {model!r}]) == 0\n"
+    )
+    assert "archmeta.traces" in loaded
+    for unused in ("archmeta.diagrams.lifting", "archmeta.diagrams.render", "archmeta.constraints",
+                   "archmeta.prompts", "archmeta.extract", "archmeta.metrics", "archmeta.remote"):
         assert not [m for m in loaded if m == unused or m.startswith(unused + ".")], unused
 
 

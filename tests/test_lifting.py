@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
 import pytest
 
 from archmeta.diagrams import DiagramType, parse_diagram
+from archmeta.diagrams import lifting
 from archmeta.diagrams.canonical import dumps_model
 from archmeta.diagrams.lifting import (
     ModelFragment,
@@ -135,6 +137,28 @@ def test_lift_rejects_vocabulary_gaps():
 
 def _ent(id, kind=EntityKind.Component, name=""):
     return Entity(id=id, kind=kind, name=name or id)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("Nope",), {"elements": {}, "edges": {}}),
+    (("SystemContainer", "elements", "component"), {"kind": "Nope"}),
+    (("SystemContainer", "elements", "component"), {"kind": "Container", "layer": "Nope"}),
+    (("SystemContainer", "edges", "dependency"), "Nope"),
+], ids=["type", "kind", "layer", "relation-kind"])
+def test_a_broken_lifting_table_fails_on_first_use(monkeypatch, path, value):
+    table = copy.deepcopy(load_lifting_table())
+    rules = table["diagram_types"]
+    for key in path[:-1]:
+        rules = rules[key]
+    rules[path[-1]] = value
+    monkeypatch.setattr(lifting, "load_lifting_table", lambda: table)
+    lifting._rules.cache_clear()
+    try:
+        with pytest.raises((KeyError, ValueError), match="Nope"):
+            lift_diagram(parse_diagram("@startuml\ncomponent a\n@enduml\n",
+                                       type_hint=DiagramType.SystemContainer))
+    finally:
+        lifting._rules.cache_clear()
 
 
 def test_combine_merges_repeated_entities():

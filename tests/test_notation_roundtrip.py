@@ -8,6 +8,8 @@ import functools
 import hashlib
 import random
 
+import pytest
+
 from archmeta.diagrams import DiagramType, dumps_model, lift_to_metamodel, parse_diagram
 from archmeta.diagrams.render import render_diagram_view, view_format
 from archmeta.errors import ArchmetaError, UnrepresentableConstructError
@@ -32,6 +34,15 @@ def test_every_lenient_view_parses():
             if not diagram.parsed:
                 failed.append(f"{name} {dtype.value}: {diagram.failure_reason}")
     assert failed == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_an_er_column_type_with_parentheses_survives_the_cycle(strict):
+    text = "erDiagram\n  ORDER {\n    varchar(10) name\n  }\n"
+    dtype = DiagramType.DataModelSchema
+    model = lift_to_metamodel([("er", parse_diagram(text, "mermaid", dtype))])
+    again = parse_diagram(render_diagram_view(model, dtype, strict), "mermaid", dtype)
+    assert [e.properties.get("members") for e in again.elements] == [("name (varchar(10))",)]
 
 
 def describe(diagram) -> str:

@@ -225,6 +225,16 @@ def test_mermaid_strictness():
     assert headerless.parse_status == "failed"
 
 
+@pytest.mark.parametrize("line, construct", [
+    ("accTitle Checkout", "accTitle"),
+    ("accTitle: Checkout", "accTitle"),
+    ("accDescr: orders flow to billing", "accDescr"),
+])
+def test_mermaid_accessibility_lines_are_unsupported_not_syntax_errors(line, construct):
+    d = parse_diagram(f"graph TD\n{line}\n  a --> b\n")
+    assert d.failure_reason == f"unsupported: {construct} (line 2)"
+
+
 # ---------------------------------------------------------------- dispatch
 
 
