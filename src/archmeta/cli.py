@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -507,9 +508,19 @@ def cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _is_number(value: Any) -> bool:
-    """An int or float that a float can hold (a bool counts as an int)."""
-    return isinstance(value, float) or (isinstance(value, int)
-                                        and abs(value) <= sys.float_info.max)
+    """A finite int or float that a float can hold (a bool counts as an int);
+    json.loads reads NaN and Infinity, which JSON output cannot carry."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and abs(value) <= sys.float_info.max
+
+
+def _mean(values: list[float]) -> float:
+    """The mean, dividing before summing only when the plain sum overflows,
+    so finite values always have a finite mean."""
+    # a float start keeps a sum of large ints from overflowing when a float joins it
+    mean = sum(values, 0.0) / len(values)
+    return mean if math.isfinite(mean) else sum(v / len(values) for v in values)
 
 
 def _side(paths: list[str]) -> dict[str, Any]:
@@ -530,10 +541,8 @@ def _side(paths: list[str]) -> dict[str, Any]:
                     f"{path}: not a metric report fragment (no numeric raw and ordinal for {key})"
                 )
         metrics.append(found)
-    # a float start keeps a sum of large ints from overflowing when a float joins it
     side: dict[str, Any] = {
-        field: {key: sum((m[key][field] for m in metrics), 0.0) / len(metrics)
-                for key in METRIC_KEYS}
+        field: {key: _mean([m[key][field] for m in metrics]) for key in METRIC_KEYS}
         for field in ("raw", "ordinal")
     }
     side["reports"] = len(metrics)
@@ -545,7 +554,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     a, b = _side(args.a), _side(args.b)
     improvement = {k: b["ordinal"][k] - a["ordinal"][k] for k in METRIC_KEYS}
-    mean_improvement = sum(improvement.values()) / len(METRIC_KEYS)
+    for key, value in improvement.items():
+        if not math.isfinite(value):
+            raise UsageError(f"report: B - A ordinal of {key} is past what a float holds")
+    mean_improvement = _mean(list(improvement.values()))
     lines = [
         "| Metric | A raw | A ordinal | B raw | B ordinal | B - A (ordinal) |",
         "| --- | --- | --- | --- | --- | --- |",
@@ -568,6 +580,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _finite_float(text: str) -> float:
+    """A float option that is finite: every comparison with nan is false, so
+    a nan threshold could never fire."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 # The values of DiagramFormat and DiagramType, in their order, spelled here so
@@ -610,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="traceability coverage and matrix")
     p.add_argument("--model", required=True)
     p.add_argument("--matrix", help="write the TSV matrix here")
-    p.add_argument("--threshold", type=float, default=0.0,
+    p.add_argument("--threshold", type=_finite_float, default=0.0,
                    help="exit 1 when coverage falls below this value")
     p.add_argument("--output")
 

@@ -177,8 +177,10 @@ def _constraint_from(obj: Any, strict: bool) -> Constraint:
     kind = _CONSTRAINT_KINDS.get(kind_name)
     if kind is None:
         raise _fail(f"constraint {cid!r}: known kind (got {kind_name!r})")
-    scope_obj = obj.get("scope") or {}
-    if not isinstance(scope_obj, dict):
+    scope_obj = obj.get("scope")
+    if scope_obj is None:
+        scope_obj = {}  # dumps_model writes an empty scope as null
+    elif not isinstance(scope_obj, dict):
         raise _fail(f"constraint {cid!r}: object or null scope")
     scope: dict[str, tuple[str, ...]] = {}
     for key in _SCOPE_KEYS:

@@ -24,50 +24,6 @@ STAGES = ("code-to-td", "td-to-bd", "bd-to-td", "td-to-code")
 
 _SLOT = re.compile(r"\[INSERT ([^\]]+)\]")
 
-_TEMPLATE_FILES = {
-    ("A", "code-to-td"): "a_code_to_td.txt",
-    ("A", "td-to-bd"): "a_td_to_bd.txt",
-    ("A", "bd-to-td"): "a_bd_to_td.txt",
-    ("A", "td-to-code"): "a_td_to_code.txt",
-    ("B", "code-to-td"): "b_code_to_td.txt",
-    ("B", "td-to-bd"): "b_td_to_bd.txt",
-    ("B", "bd-to-td"): "b_bd_to_td.txt",
-    ("B", "td-to-code"): "b_td_to_code.txt",
-}
-
-_MANDATORY_SECTIONS = {
-    ("A", "code-to-td"): ("INPUT", "TASK", "STRICT REQUIREMENTS", "OUTPUT FORMAT"),
-    ("A", "td-to-bd"): ("INPUT", "TASK", "STRICT REQUIREMENTS", "OUTPUT"),
-    ("A", "bd-to-td"): ("INPUT", "TASK", "STRICT REQUIREMENTS", "OUTPUT"),
-    ("A", "td-to-code"): ("INPUT", "TASK", "STRICT REQUIREMENTS", "OUTPUT"),
-    ("B", "code-to-td"): (
-        "INPUT",
-        "TASK",
-        "MANDATORY DIAGRAM SET",
-        "BUSINESS / CONTEXT LAYER",
-        "SYSTEM LAYER",
-        "IMPLEMENTATION LAYER",
-        "BEHAVIORAL LAYER",
-        "RUNTIME LAYER",
-        "STRICT RULES",
-        "OUTPUT",
-    ),
-    ("B", "td-to-bd"): ("INPUT", "TASK", "MANDATORY BUSINESS DIAGRAMS", "STRICT RULES", "OUTPUT"),
-    ("B", "bd-to-td"): (
-        "INPUT",
-        "TASK",
-        "MANDATORY DIAGRAMS",
-        "SYSTEM STRUCTURE",
-        "PATTERN LAYER",
-        "IMPLEMENTATION LAYER",
-        "BEHAVIORAL LAYER",
-        "RUNTIME",
-        "STRICT RULES",
-        "OUTPUT",
-    ),
-    ("B", "td-to-code"): ("INPUT", "TASK", "MANDATORY CONSTRAINT SOURCES", "STRICT RULES", "OUTPUT"),
-}
-
 
 def slot_name(placeholder: str) -> str:
     """[INSERT CODE / MODULES / REPO] -> code; [INSERT TD + DIAGRAMS] -> td_and_diagrams."""
@@ -92,14 +48,14 @@ def _canonical_stage(stage: str) -> str:
 
 
 def load_template(process: str, stage: str) -> PromptTemplate:
+    """Read templates/<process>_<stage>.txt (A, code-to-td: a_code_to_td.txt)."""
     proc = process.strip().upper()
     stage_token = _canonical_stage(stage)
-    key = (proc, stage_token)
-    if key not in _TEMPLATE_FILES:
+    if proc not in PROCESSES or stage_token not in STAGES:
         raise UnknownStageError(f"no template for process {process!r}, stage {stage!r}")
     body = (
         resources.files("archmeta.prompts")
-        .joinpath("templates", _TEMPLATE_FILES[key])
+        .joinpath("templates", f"{proc.lower()}_{stage_token.replace('-', '_')}.txt")
         .read_text("utf-8")
     )
     slots = tuple(dict.fromkeys(slot_name(m) for m in _SLOT.findall(body)))
@@ -108,12 +64,12 @@ def load_template(process: str, stage: str) -> PromptTemplate:
         stage=stage_token,
         body=body,
         slots=slots,
-        mandatory_sections=_MANDATORY_SECTIONS[key],
+        mandatory_sections=_headings(body),
     )
 
 
 def all_templates() -> tuple[PromptTemplate, ...]:
-    return tuple(load_template(p, s) for p, s in _TEMPLATE_FILES)
+    return tuple(load_template(p, s) for p in PROCESSES for s in STAGES)
 
 
 def assemble_prompt(process: str, stage: str, inputs: Mapping[str, str]) -> str:
@@ -135,6 +91,15 @@ def _normalize_heading(line: str) -> str:
         text = text[1:].strip()
     text = re.sub(r"\s*\([^)]*\)\s*:?\s*$", "", text)
     return text.rstrip(":").strip()
+
+
+def _headings(body: str) -> tuple[str, ...]:
+    """A template's mandatory headings, in order: the lines that are not
+    bullets, end in a colon, and normalize to capitals with no lowercase
+    letter ("RUNTIME (if specified):" -> RUNTIME)."""
+    lines = (line.strip() for line in body.splitlines())
+    names = (_normalize_heading(t) for t in lines if t.endswith(":") and not t.startswith("•"))
+    return tuple(h for h in names if h == h.upper() != h.lower())
 
 
 def missing_sections(rendered: str, template: PromptTemplate) -> tuple[str, ...]:

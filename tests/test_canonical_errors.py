@@ -140,6 +140,11 @@ _CASES = [
      "relation 'r': known kind (got 'teleport')"),
     ("traces", _rec("traces", mapping_class=1, source=_MISSING),
      "trace: string value for 'mapping_class'"),
+    # a falsy scope other than null is still not an object
+    ("constraints", _rec("constraints", scope=[]), "constraint 'k': object or null scope"),
+    ("constraints", _rec("constraints", scope=False), "constraint 'k': object or null scope"),
+    ("constraints", _rec("constraints", scope=0), "constraint 'k': object or null scope"),
+    ("constraints", _rec("constraints", scope=""), "constraint 'k': object or null scope"),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -238,6 +239,15 @@ def test_trace_threshold_gates_exit_code(cli, desk_dir):
     below = cli("trace", "--model", model, "--threshold", "0.9")
     assert below.code == 1
     assert "coverage 0.8600" in below.out
+
+
+@pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "1e400"])
+def test_trace_threshold_must_be_finite(cli, desk_dir, threshold):
+    # no coverage compares below nan, so such a gate could never fire
+    model = str(desk_dir / "process_b.archmeta.json")
+    result = cli("trace", "--model", model, "--threshold", threshold)
+    assert result.code == 2
+    assert f"--threshold: not a finite number: {threshold!r}" in result.err
 
 
 # ---------------------------------------------------------------- score
@@ -545,6 +555,45 @@ def test_report_rejects_non_fragments(cli, tmp_path):
     doc["metrics"]["K"]["raw"] = 10**308  # a float holds it, but not twice over
     junk.write_text(json.dumps(doc))
     assert cli("report", "--a", str(junk), str(junk), good, "--b", good).code == 0
+
+
+def _strict_json(text: str) -> object:
+    def _reject(token: str) -> None:
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=_reject)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_rejects_non_finite_values(cli, tmp_path, bad):
+    good = _fragment(tmp_path / "good.json", dict.fromkeys(METRIC_KEYS, 0.5))
+    doc = json.loads(Path(good).read_text())
+    doc["metrics"]["C"]["raw"] = bad
+    junk = tmp_path / "junk.json"
+    junk.write_text(json.dumps(doc))  # json writes NaN, Infinity, -Infinity
+    result = cli("report", "--a", str(junk), "--b", good, "--json")
+    assert result.code == 2
+    assert "not a metric report fragment (no numeric raw and ordinal for C)" in result.err
+
+
+def test_report_means_and_differences_stay_finite(cli, tmp_path):
+    good = _fragment(tmp_path / "good.json", dict.fromkeys(METRIC_KEYS, 0.5))
+    doc = json.loads(Path(good).read_text())
+    doc["metrics"]["K"]["ordinal"] = 1.7e308
+    high = tmp_path / "high.json"
+    high.write_text(json.dumps(doc))
+    # the plain sum of two such ordinals overflows, but their mean is 1.7e308
+    result = cli("report", "--a", str(high), str(high), "--b", good, "--json")
+    assert result.code == 0
+    payload = _strict_json(result.out)
+    assert payload["a"]["ordinal"]["K"] == 1.7e308
+    assert math.isfinite(payload["mean_ordinal_improvement"])
+    doc["metrics"]["K"]["ordinal"] = -1.7e308
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(doc))
+    # B - A overflows: no report rather than one holding Infinity
+    result = cli("report", "--a", str(low), "--b", str(high), "--json")
+    assert result.code == 2
+    assert "B - A ordinal of K is past what a float holds" in result.err
 
 
 # ---------------------------------------------------------------- input boundaries

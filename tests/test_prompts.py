@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,31 @@ def test_eight_templates_exist():
         assert t.body.strip()
         assert t.slots, (t.process, t.stage)
         assert t.mandatory_sections
+
+
+def test_template_files_follow_the_naming_rule():
+    # load_template reads <process>_<stage>.txt; a file outside the rule would go unread
+    folder = resources.files("archmeta.prompts").joinpath("templates")
+    assert sorted(f.name for f in folder.iterdir() if f.name.endswith(".txt")) == sorted(
+        f"{p.lower()}_{s.replace('-', '_')}.txt" for p in PROCESSES for s in STAGES
+    )
+
+
+@pytest.mark.parametrize("process", PROCESSES)
+@pytest.mark.parametrize("stage", STAGES)
+def test_mandatory_sections_are_distinct_template_headings(process, stage):
+    sections = load_template(process, stage).mandatory_sections
+    assert sections
+    assert len(set(sections)) == len(sections)
+
+
+def test_mandatory_sections_skip_bullets_and_drop_parentheticals():
+    # "• Business Diagrams:" is a bullet; "PATTERN LAYER (ONLY if derivable):"
+    # and "RUNTIME (if specified):" are headings without their parentheticals
+    assert load_template("B", "bd-to-td").mandatory_sections == (
+        "INPUT", "TASK", "MANDATORY DIAGRAMS", "SYSTEM STRUCTURE", "PATTERN LAYER",
+        "IMPLEMENTATION LAYER", "BEHAVIORAL LAYER", "RUNTIME", "STRICT RULES", "OUTPUT",
+    )
 
 
 def test_slot_name_normalization():
