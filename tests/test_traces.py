@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from archmeta.errors import NoTraceableEntitiesError
@@ -20,6 +23,7 @@ from archmeta.traces import (
     traceability_coverage,
 )
 from tests import oracles
+from tests.support.strategies import random_model
 
 
 def _model(entities, traces=()):
@@ -136,3 +140,47 @@ def test_desk_models_reproduce_known_coverage(process_b_model, process_a_model):
     a = traceability_coverage(process_a_model)
     assert (a.slots_filled, a.slots_total) == (29, 45)
     assert len(b.invalid_links) == len(a.invalid_links) == 1
+
+
+def _described_coverage(model) -> str:
+    """Per class: filled, total and unfilled ids, then the invalid-link count;
+    a model without slots contributes its error instead."""
+    try:
+        report = traceability_coverage(model)
+    except NoTraceableEntitiesError as exc:
+        return f"raised: {exc}"
+    lines = [repr((c.mapping_class.value, c.filled, c.total, c.unfilled_ids))
+             for c in report.per_class]
+    lines.append(f"invalid {len(report.invalid_links)}")
+    return "\n".join(lines)
+
+
+def _pinned_models(original_model, process_a_model, process_b_model):
+    yield "original", original_model
+    yield "process_a", process_a_model
+    yield "process_b", process_b_model
+    assembled = [
+        # reversed orientation: the source-side capability is the target
+        TraceLink(source="cont-1", target="cap-1", mapping_class=MappingClass.capability_container),
+        TraceLink(source="cap-1", target="cont-2", mapping_class=MappingClass.capability_container),
+        TraceLink(source="cap-1", target="tbl-1", mapping_class=MappingClass.capability_container),
+        TraceLink(source="proc-1", target="cont-1", mapping_class=MappingClass.capability_container),
+        TraceLink(source="int-1", target="proc-1", mapping_class=MappingClass.process_interaction),
+    ]
+    extra = [("cont-2", EntityKind.Container, "Billing App")]
+    yield "assembled", _model(_BASE + extra, assembled)
+    for seed in range(300):
+        yield f"random_model/{seed}", random_model(random.Random(seed))
+
+
+# sha256 over the described coverage and the TSV matrix of the three desk
+# models, the assembled model above and 300 random_model seeds
+TRACES_DIGEST = "9edee8259634d9a4652b1413358cad8334497a699c75b599d98e199cf07b4b2c"
+
+
+def test_coverage_and_matrix_are_pinned(original_model, process_a_model, process_b_model):
+    digest = hashlib.sha256()
+    for name, model in _pinned_models(original_model, process_a_model, process_b_model):
+        digest.update(f"{name}\0{_described_coverage(model)}\0".encode())
+        digest.update(f"{matrix_to_tsv(trace_matrix(model))}\0".encode())
+    assert digest.hexdigest() == TRACES_DIGEST
