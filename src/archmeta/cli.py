@@ -284,9 +284,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     model = _load_model(args.model, "--model")
     report = traceability_coverage(model)
-    rows = trace_matrix(model)
     if args.matrix:
-        _write_atomic(args.matrix, matrix_to_tsv(rows))
+        _write_atomic(args.matrix, matrix_to_tsv(trace_matrix(model)))
     lines = []
     for cc in report.per_class:
         lines.append(f"{cc.mapping_class.value}: {cc.filled}/{cc.total} slots filled")
@@ -477,11 +476,11 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     if needs_context:
         if not args.context_model or not args.purpose:
             raise UsageError("@context slots require --context-model and --purpose")
-        from .prompts.context import render_context_block, select_diagram_set
+        from .prompts.context import _purpose_views, render_context_block
 
         model = _load_model(args.context_model, "--context-model")
-        types = select_diagram_set(model, args.purpose)
-        context_text = render_context_block(model, types).to_text()
+        # every view of the purpose: one the model cannot derive gets an uncertainty note
+        context_text = render_context_block(model, _purpose_views(args.purpose)).to_text()
     for spec in args.slot:
         if "=" not in spec:
             raise UsageError(f"--slot expects NAME=PATH or NAME=@context, got {spec!r}")

@@ -381,6 +381,9 @@ def _constraint_entry(obj: object, position: int) -> Constraint:
         scope = {}  # dumps_model writes an empty scope as null
     if not isinstance(scope, dict) or not all(isinstance(v, list) for v in scope.values()):
         raise InvalidConstraintParamsError(cid, "scope must be an object of lists")
+    if scope.get("entities") == []:
+        # the canonical writer drops an empty list, so the rule would then cover the whole model
+        raise InvalidConstraintParamsError(cid, "scope.entities must be a non-empty list of entity ids")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise InvalidConstraintParamsError(cid, "params must be an object")

@@ -188,6 +188,9 @@ def _constraint_from(obj: Any, strict: bool) -> Constraint:
             vals = scope_obj[key]
             if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
                 raise _fail(f"constraint {cid!r}: string array scope.{key}")
+            if key == "entities" and not vals:
+                # dumps_model drops an empty list, so the rule would then cover the whole model
+                raise _fail(f"constraint {cid!r}: non-empty scope.entities")
             scope[key] = tuple(vals)
     if strict:
         unknown = sorted(scope_obj.keys() - set(_SCOPE_KEYS))

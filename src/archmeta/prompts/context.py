@@ -54,13 +54,18 @@ def _diagram_available(model: Metamodel, dtype: DiagramType) -> bool:
     return bool(view_entity_kinds(dtype) & kinds_present)
 
 
-def select_diagram_set(model: Metamodel, purpose: str) -> list[DiagramType]:
-    """The guidance mapping for a task purpose, narrowed to what the model has."""
+def _purpose_views(purpose: str) -> tuple[DiagramType, ...]:
+    """The guidance mapping for a task purpose, whether derivable or not."""
     key = purpose.strip().lower()
     if key not in PURPOSE_DIAGRAMS:
         known = ", ".join(sorted(PURPOSE_DIAGRAMS))
         raise UnknownPurposeError(f"unknown purpose {purpose!r} (known: {known})")
-    return [t for t in PURPOSE_DIAGRAMS[key] if _diagram_available(model, t)]
+    return PURPOSE_DIAGRAMS[key]
+
+
+def select_diagram_set(model: Metamodel, purpose: str) -> list[DiagramType]:
+    """The guidance mapping for a task purpose, narrowed to what the model has."""
+    return [t for t in _purpose_views(purpose) if _diagram_available(model, t)]
 
 
 def describe_constraint(constraint: Constraint) -> str:

@@ -4,23 +4,21 @@ A slot is one source-side entity of a mapping class (the business capability,
 domain entity, component, or business process). The slot is filled when at
 least one kind-valid trace link of that class touches the entity on its
 source side. Links whose endpoint kinds do not fit the class are carried as
-invalid and never fill anything.
+invalid and never fill anything. `trace_matrix` alone decides which slots a
+link fills; `traceability_coverage` is a per-class summary of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import NoTraceableEntitiesError
-from .model import (
-    MAPPING_CLASS_KINDS,
-    MappingClass,
-    Metamodel,
-    TraceLink,
-)
+from .model import MAPPING_CLASS_KINDS, MappingClass, Metamodel, TraceLink
 
 UNMAPPED = "UNMAPPED"
+
+# the source-side kinds of the mapping classes are disjoint
+_SOURCE_CLASS = {kind: mc for mc, (src, _) in MAPPING_CLASS_KINDS.items() for kind in src}
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,10 @@ class MatrixRow:
     targets: tuple[str, ...]  # empty means unmapped
 
 
-def _valid_links_by_source(model: Metamodel) -> dict[MappingClass, dict[str, set[str]]]:
-    """mapping class -> source-side entity id -> linked target ids."""
-    out: dict[MappingClass, dict[str, set[str]]] = {mc: {} for mc in MappingClass}
+def trace_matrix(model: Metamodel) -> tuple[MatrixRow, ...]:
+    """One row per slot, ordered by (mapping class, source id); a row's
+    targets are the other endpoints of the valid links that fill it."""
+    targets: dict[tuple[MappingClass, str], set[str]] = {}
     for link in model.traces:
         if link.validity != "valid":
             continue
@@ -69,62 +68,37 @@ def _valid_links_by_source(model: Metamodel) -> dict[MappingClass, dict[str, set
         if a is None or b is None:
             continue
         # orientation is free; credit whichever endpoint is source-side
-        if a.kind in src_kinds:
-            out[link.mapping_class].setdefault(a.id, set()).add(b.id)
-        if b.kind in src_kinds:
-            out[link.mapping_class].setdefault(b.id, set()).add(a.id)
-    return out
+        for end, other in ((a, b), (b, a)):
+            if end.kind in src_kinds:
+                targets.setdefault((link.mapping_class, end.id), set()).add(other.id)
+    sources: dict[MappingClass, list] = {mc: [] for mc in MappingClass}
+    for entity in model.entities:
+        mc = _SOURCE_CLASS.get(entity.kind)
+        if mc is not None:
+            sources[mc].append(entity)
+    return tuple(
+        MatrixRow(mc, e.id, e.name, tuple(sorted(targets.get((mc, e.id), ()))))
+        for mc, entities in sources.items()
+        for e in sorted(entities, key=lambda e: e.id)
+    )
 
 
 def traceability_coverage(model: Metamodel) -> TraceReport:
-    """Coverage over every slot in the model. Raises NoTraceableEntitiesError
-    when no entity of any source-side kind exists."""
-    links = _valid_links_by_source(model)
+    """Coverage over every slot in the model, summarised from trace_matrix.
+    Raises NoTraceableEntitiesError when no entity of any source-side kind
+    exists."""
+    rows = trace_matrix(model)
+    if not rows:
+        raise NoTraceableEntitiesError("no entities of any mapping-class source kind are present")
     per_class = []
     for mc in MappingClass:
-        src_kinds, _ = MAPPING_CLASS_KINDS[mc]
-        sources = [e for e in model.entities if e.kind in src_kinds]
-        filled_ids = links[mc]
-        unfilled = tuple(sorted(e.id for e in sources if e.id not in filled_ids))
-        per_class.append(
-            ClassCoverage(
-                mapping_class=mc,
-                filled=sum(1 for e in sources if e.id in filled_ids),
-                total=len(sources),
-                unfilled_ids=unfilled,
-            )
-        )
-    report = TraceReport(
+        slots = [r for r in rows if r.mapping_class is mc]
+        unfilled = tuple(r.source_id for r in slots if not r.targets)
+        per_class.append(ClassCoverage(mc, len(slots) - len(unfilled), len(slots), unfilled))
+    return TraceReport(
         per_class=tuple(per_class),
         invalid_links=tuple(l for l in model.traces if l.validity != "valid"),
     )
-    if report.slots_total == 0:
-        raise NoTraceableEntitiesError(
-            "no entities of any mapping-class source kind are present"
-        )
-    return report
-
-
-def trace_matrix(model: Metamodel) -> tuple[MatrixRow, ...]:
-    """One row per slot, ordered by (mapping class, source id)."""
-    links = _valid_links_by_source(model)
-    rows = []
-    for mc in MappingClass:
-        src_kinds, _ = MAPPING_CLASS_KINDS[mc]
-        sources = sorted(
-            (e for e in model.entities if e.kind in src_kinds), key=lambda e: e.id
-        )
-        for entity in sources:
-            targets = tuple(sorted(links[mc].get(entity.id, ())))
-            rows.append(
-                MatrixRow(
-                    mapping_class=mc,
-                    source_id=entity.id,
-                    source_name=entity.name,
-                    targets=targets,
-                )
-            )
-    return tuple(rows)
 
 
 def matrix_to_tsv(rows: tuple[MatrixRow, ...]) -> str:

@@ -126,6 +126,8 @@ _CASES = [
      "constraint 'k': string array scope.layers"),
     ("constraints", _rec("constraints", scope={"layers": ["System"], "zones": []}),
      "constraint 'k': no unknown scope fields (zones)"),
+    ("constraints", _rec("constraints", scope={"entities": []}),
+     "constraint 'k': non-empty scope.entities"),
     ("constraints", _rec("constraints", params=[]), "constraint 'k': object params"),
     # two defects: the first in the record's check order wins
     ("entities", _rec("entities", id=5, kind="Starship"), "entity: string value for 'id'"),

@@ -470,6 +470,31 @@ def test_assemble_context_slot(cli, desk_dir, tmp_path):
     assert "<<<SECTION: INVARIANTS>>>" in rendered
 
 
+def test_assemble_notes_a_purpose_view_the_model_cannot_derive(cli, desk_dir, tmp_path):
+    out = tmp_path / "prompt.txt"
+    result = cli(
+        "assemble", "--process", "B", "--stage", "td-to-bd",
+        "--slot", "td_and_diagrams=@context",
+        "--context-model", str(desk_dir / "original.archmeta.json"),
+        "--purpose", " Deployment-Config", "--output", str(out),
+    )
+    assert result.code == 0
+    rendered = out.read_text()
+    assert "-- layer 8 (Runtime) / RuntimeTopology --" in rendered
+    assert "/ DeploymentInfrastructure --" not in rendered
+    assert ("<<<SECTION: UNCERTAINTY>>>\n- Not derivable: DeploymentInfrastructure "
+            "(no source diagram or matching entities)\n<<<END: UNCERTAINTY>>>") in rendered
+    unknown = cli(
+        "assemble", "--process", "B", "--stage", "td-to-bd",
+        "--slot", "td_and_diagrams=@context",
+        "--context-model", str(desk_dir / "original.archmeta.json"),
+        "--purpose", "marketing", "--output", str(tmp_path / "p.txt"),
+    )
+    assert (unknown.code, unknown.err) == (2, (
+        "error: unknown purpose 'marketing' (known: api-workflow, business-alignment, "
+        "deployment-config, schema-migration, scope, service-structure)\n"))
+
+
 def test_assemble_context_model_with_malformed_params_is_an_input_error(cli, desk_dir, tmp_path):
     doc = json.loads((desk_dir / "original.archmeta.json").read_text("utf-8"))
     doc["constraints"] = [{"id": "walls", "kind": "layer-boundary", "scope": None,

@@ -366,6 +366,7 @@ def test_constraints_from_json_rejects_bad_documents():
         ('{"constraints": ["acyclicity"]}', "'#0'"),
         *((f'{{"constraints": [{{"id": "s", "kind": "acyclicity", "scope": {scope}}}]}}', "'s'")
           for scope in ("[]", '""', "0", "false")),  # only null reads as an empty scope
+        ('{"constraints": [{"id": "e", "kind": "acyclicity", "scope": {"entities": []}}]}', "'e'"),
         ('{"constraints": [{"id": "p", "kind": "acyclicity", "params": [1]}]}', "'p'"),
         ('{"constraints": [{"id": "r", "kind": "acyclicity", "params": {"relation_kinds": [[1]]}}]}', "'r'"),
     ],

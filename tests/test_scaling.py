@@ -2,15 +2,18 @@
 
 Times the stages that walk containment, preset constraint evaluation plus
 pattern detection, on a containment chain of depth n and of depth 2n, each
-with depth/2 dependencies pointing down the chain; and the canonical JSON
-round trip on a wide model of n and 2n entities with about three dependencies
-each. Only the ratio is checked, never an absolute time, so the gates hold on
-slow and fast hosts alike. Each gate times its n and 2n runs in alternation,
-so both sides sample the same stretch of the host's speed.
+with depth/2 dependencies pointing down the chain; the canonical JSON round
+trip and drift (model_delta) on a wide model of n and 2n entities with about
+three dependencies each; and the trace stage (coverage plus matrix) on n and
+2n source-side entities, each with one trace link. Only the ratio is checked,
+never an absolute time, so the gates hold on slow and fast hosts alike. Each
+gate times its n and 2n runs in alternation, so both sides sample the same
+stretch of the host's speed.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from time import perf_counter
 from typing import Callable
@@ -18,7 +21,18 @@ from typing import Callable
 from archmeta.constraints import evaluate_constraints, load_preset_constraints
 from archmeta.diagrams import dumps_model, loads_model
 from archmeta.extract.patterns import detect_patterns
-from archmeta.model import Entity, EntityKind, Metamodel, Relation, RelationKind, build_metamodel
+from archmeta.metrics.delta import model_delta
+from archmeta.model import (
+    Entity,
+    EntityKind,
+    MappingClass,
+    Metamodel,
+    Relation,
+    RelationKind,
+    TraceLink,
+    build_metamodel,
+)
+from archmeta.traces import trace_matrix, traceability_coverage
 
 N = 1000
 WIDE_N = 1500
@@ -47,6 +61,7 @@ def _best_pair(sample: Callable[[int], float], n: int) -> tuple[float, float]:
     """The best of REPEATS samples at n and at 2n, each n sample taken right
     before a 2n one."""
     small = large = float("inf")
+    gc.collect()  # so that no full collection of the setup's objects lands in a sample
     for _ in range(REPEATS):
         small = min(small, sample(n))
         large = min(large, sample(2 * n))
@@ -90,4 +105,51 @@ def test_canonical_round_trip_scales_linearly_in_entities():
         return perf_counter() - start
 
     small, large = _best_pair(round_trip, WIDE_N)
+    assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
+
+
+def test_drift_scales_linearly_in_entities():
+    pairs = {n: (_wide(n), _wide(n + 1)) for n in (WIDE_N, 2 * WIDE_N)}
+
+    def drift(n: int) -> float:
+        start = perf_counter()
+        model_delta(*pairs[n])
+        return perf_counter() - start
+
+    small, large = _best_pair(drift, WIDE_N)
+    assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
+
+
+_SLOT_KINDS = (
+    (MappingClass.capability_container, EntityKind.BusinessCapability, EntityKind.Container),
+    (MappingClass.domain_entity_data_schema, EntityKind.DomainEntity, EntityKind.Table),
+    (MappingClass.component_code_module, EntityKind.Component, EntityKind.Module),
+    (MappingClass.process_interaction, EntityKind.BusinessProcess, EntityKind.Interaction),
+)
+
+
+def _traced(n: int) -> Metamodel:
+    """n source-side entities spread over the four mapping classes, each
+    linked to a target of its own, every other link in reversed orientation."""
+    entities, traces = [], []
+    for i in range(n):
+        mc, source_kind, target_kind = _SLOT_KINDS[i % len(_SLOT_KINDS)]
+        source, target = f"s{i:05d}", f"t{i:05d}"
+        entities += [Entity(source, source_kind, f"Source {i}"),
+                     Entity(target, target_kind, f"Target {i}")]
+        ends = (source, target) if i % 2 else (target, source)
+        traces.append(TraceLink(*ends, mapping_class=mc))
+    return build_metamodel(entities, traces=traces)
+
+
+def test_trace_stage_scales_linearly_in_slots():
+    models = {n: _traced(n) for n in (WIDE_N, 2 * WIDE_N)}
+
+    def trace(n: int) -> float:
+        start = perf_counter()
+        traceability_coverage(models[n])
+        trace_matrix(models[n])
+        return perf_counter() - start
+
+    small, large = _best_pair(trace, WIDE_N)
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
