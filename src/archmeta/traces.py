@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoTraceableEntitiesError
-from .model import MAPPING_CLASS_KINDS, MappingClass, Metamodel, TraceLink
+from .model import MAPPING_CLASS_KINDS, Entity, MappingClass, Metamodel, TraceLink
 
 UNMAPPED = "UNMAPPED"
 
@@ -71,7 +71,7 @@ def trace_matrix(model: Metamodel) -> tuple[MatrixRow, ...]:
         for end, other in ((a, b), (b, a)):
             if end.kind in src_kinds:
                 targets.setdefault((link.mapping_class, end.id), set()).add(other.id)
-    sources: dict[MappingClass, list] = {mc: [] for mc in MappingClass}
+    sources: dict[MappingClass, list[Entity]] = {mc: [] for mc in MappingClass}
     for entity in model.entities:
         mc = _SOURCE_CLASS.get(entity.kind)
         if mc is not None:

@@ -126,8 +126,6 @@ _CASES = [
      "constraint 'k': string array scope.layers"),
     ("constraints", _rec("constraints", scope={"layers": ["System"], "zones": []}),
      "constraint 'k': no unknown scope fields (zones)"),
-    ("constraints", _rec("constraints", scope={"entities": []}),
-     "constraint 'k': non-empty scope.entities"),
     ("constraints", _rec("constraints", params=[]), "constraint 'k': object params"),
     # two defects: the first in the record's check order wins
     ("entities", _rec("entities", id=5, kind="Starship"), "entity: string value for 'id'"),
@@ -147,6 +145,9 @@ _CASES = [
     ("constraints", _rec("constraints", scope=False), "constraint 'k': object or null scope"),
     ("constraints", _rec("constraints", scope=0), "constraint 'k': object or null scope"),
     ("constraints", _rec("constraints", scope=""), "constraint 'k': object or null scope"),
+    # an empty entity list, which dumps_model would write as a null scope
+    ("constraints", _rec("constraints", scope={"entities": []}),
+     "constraint 'k': non-empty scope.entities"),
 ]
 
 
