@@ -110,35 +110,39 @@ def _require_dir(path: str, flag: str) -> Path:
     return p
 
 
-# (sha256 of a model file's bytes, the model loaded from them), or None
-_last_model: tuple[bytes, Metamodel] | None = None
+# sha256 of a model file's bytes -> the model loaded from them, at most three
+# (the most any command reads), least recently used first
+_models: dict[bytes, Metamodel] = {}
 
 
 def _load_model(path: str, flag: str) -> Metamodel:
     """The canonical model in the file at `path`, read and checked strictly.
 
-    The last model loaded stays in a one-model slot, keyed by the sha256 of
-    the file's bytes. A later command in the same process that reads the same
-    bytes, from any path, gets the same immutable Metamodel back, with
-    whatever indices earlier commands cached on it. Other bytes empty the slot
-    before they load, so the old model can be freed first; a read, decode or
-    load that fails leaves the slot empty. A fresh process pays one sha256 per
-    model file.
+    The three models used last stay in a memo keyed by the sha256 of each
+    file's bytes. A later command in the same process that reads the same
+    bytes, from any path, gets the same immutable Metamodel back, with the
+    indices earlier commands cached on it. Other bytes drop the least recently
+    used of three held models before they load. A failed read, decode or load
+    empties the memo; a model the loader rejects is a usage error naming the
+    flag and file. A fresh process pays one sha256 per model file.
     """
-    global _last_model
+    global _models
     import hashlib
 
     from .diagrams.canonical import loads_model
 
-    held, _last_model = _last_model, None  # empty until this call succeeds
+    held, _models = _models, {}  # empty until this call succeeds
     data = _read_bytes(path, flag)
     digest = hashlib.sha256(data).digest()
-    if held is not None and held[0] == digest:
-        _last_model = held
-        return held[1]
-    held = None  # the old model can be freed before the new one is built
-    model = loads_model(_decode(data, path, flag))
-    _last_model = (digest, model)
+    model = held.pop(digest, None)
+    if model is None:
+        held = dict(list(held.items())[-2:])  # the two most recently used
+        text = _decode(data, path, flag)
+        try:
+            model = loads_model(text)
+        except ArchmetaError as exc:
+            raise UsageError(f"{flag}: {path}: {exc}") from None
+    _models = {**held, digest: model}
     return model
 
 

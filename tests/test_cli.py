@@ -326,6 +326,31 @@ def test_score_missing_inputs_is_a_usage_error(cli, desk_dir):
     assert "missing required inputs" in result.err
 
 
+@pytest.mark.parametrize("flag", ["--model", "--reference", "--baseline"])
+def test_score_names_the_model_file_it_cannot_decode(flag, cli, desk_dir, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    argv = _score_argv(desk_dir)
+    argv[argv.index(flag) + 1] = str(broken)
+    result = cli(*argv)
+    assert result.code == 2
+    assert result.err == (f"error: {flag}: {broken}: line 1, col 2: expected valid JSON "
+                          "(Expecting property name enclosed in double quotes)\n")
+
+
+def test_score_names_the_model_file_it_cannot_load(cli, desk_dir, tmp_path):
+    doc = json.loads((desk_dir / "original.archmeta.json").read_text("utf-8"))
+    doc["entities"][0]["kind"] = "Nope"
+    broken = tmp_path / "reference.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    argv = _score_argv(desk_dir)
+    argv[argv.index("--reference") + 1] = str(broken)
+    result = cli(*argv)
+    assert result.code == 2
+    assert result.err == (f"error: --reference: {broken}: line 0, col 0: expected entity "
+                          f"{doc['entities'][0]['id']!r}: known kind (got 'Nope')\n")
+
+
 # ---------------------------------------------------------------- diff
 
 
@@ -737,7 +762,8 @@ def test_undecodable_model_error_names_the_cause(case, cause, desk_dir, tmp_path
     argv = _edge_argv("model", EDGE_VALUES[case], desk_dir, tmp_path)
     proc = _run_python("-m", "archmeta.cli", *argv)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: line 1, col 1: expected valid JSON ({cause})\n"
+    bad = tmp_path / "bad.json"
+    assert proc.stderr == f"error: --model: {bad}: line 1, col 1: expected valid JSON ({cause})\n"
 
 
 @pytest.mark.parametrize("key, value, wanted", [

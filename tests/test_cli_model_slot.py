@@ -1,5 +1,6 @@
-"""The CLI's one-model slot: commands in one process that read the same model
-bytes share one loaded Metamodel, and nothing they do changes it."""
+"""The CLI's model memo: commands in one process that read the same model
+bytes share one loaded Metamodel, nothing they do changes it, and the memo
+holds the three models used last."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,17 @@ from tests.conftest import DESK_DIR, invoke
 from tests.test_cli_outputs import CASES, _clear_outputs, work  # noqa: F401 (fixture)
 
 MODEL_B = DESK_DIR / "process_b.archmeta.json"
+SCORE_ARGV = [
+    "score", "--model", str(MODEL_B), "--reference", str(DESK_DIR / "original.archmeta.json"),
+    "--baseline", str(DESK_DIR / "process_a.archmeta.json"),
+    "--codebase", str(DESK_DIR / "codebase"), "--rules", str(DESK_DIR / "rules.txt"),
+    "--artifacts", str(DESK_DIR / "artifacts"), "--aliases", str(DESK_DIR / "aliases.txt"),
+]
 
 
 @pytest.fixture(autouse=True)
-def _empty_slot(monkeypatch):
-    monkeypatch.setattr(cli, "_last_model", None)
+def _empty_memo(monkeypatch):
+    monkeypatch.setattr(cli, "_models", {})
     monkeypatch.delenv(EMBED_ENDPOINT_VAR, raising=False)
 
 
@@ -90,14 +98,14 @@ def test_changed_bytes_with_the_same_size_and_mtime_load_again(loads, tmp_path):
 
 def test_a_failed_load_empties_the_slot(tmp_path):
     good = invoke("validate", "--model", str(MODEL_B))
-    assert cli._last_model is not None
+    assert cli._models
     path = tmp_path / "model.json"
     path.write_text("{", encoding="utf-8")
     bad = invoke("validate", "--model", str(path))
     assert bad.code == 2
-    assert bad.err == ("error: line 1, col 2: expected valid JSON "
+    assert bad.err == (f"error: --model: {path}: line 1, col 2: expected valid JSON "
                        "(Expecting property name enclosed in double quotes)\n")
-    assert cli._last_model is None
+    assert cli._models == {}
     path.write_bytes(MODEL_B.read_bytes())
     again = invoke("validate", "--model", str(path))
     assert (again.code, again.out, again.err) == (good.code, good.out, good.err)
@@ -110,11 +118,11 @@ def test_an_unreadable_model_empties_the_slot(tmp_path):
     for path, message in ((bad, f"not UTF-8 text: {bad} (at byte 0: invalid start byte)"),
                           (missing, f"not a readable file: {missing}")):
         invoke("trace", "--model", str(MODEL_B))
-        assert cli._last_model is not None
+        assert cli._models
         result = invoke("trace", "--model", str(path))
         assert result.code == 2
         assert result.err == f"error: --model: {message}\n"
-        assert cli._last_model is None
+        assert cli._models == {}
 
 
 def test_score_with_the_model_as_its_reference_matches_a_fresh_process(loads):
@@ -158,15 +166,77 @@ def test_no_desk_command_changes_the_model_in_the_slot(work, monkeypatch):
     for argv in CASES.values():
         _clear_outputs(work)
         invoke(*argv)
-        if cli._last_model is None:
+        assert len(cli._models) <= 3
+        if not cli._models:
             continue
-        digest, model = cli._last_model
         held += 1
-        seen |= _assert_as_loaded(model, texts[digest])
+        for digest, model in cli._models.items():
+            seen |= _assert_as_loaded(model, texts[digest])
     _clear_outputs(work)
     assert held >= 30
     assert {"relations_by_kind", "out_relations", "containment_parents",
             "entity_ids_by_layer", "_ancestor_tables"} <= seen, seen
+
+
+def test_a_repeated_desk_cycle_loads_each_model_once(loads, tmp_path):
+    model = str(MODEL_B)
+    cycle = [
+        ["validate", "--model", model],
+        ["trace", "--model", model],
+        ["assemble", "--process", "B", "--stage", "td-to-bd", "--slot", "td_and_diagrams=@context",
+         "--context-model", model, "--purpose", "service-structure",
+         "--output", str(tmp_path / "prompt.txt")],
+        SCORE_ARGV,
+    ]
+    first = [invoke(*argv) for argv in cycle]
+    second = [invoke(*argv) for argv in cycle]
+    assert [(r.code, r.out, r.err) for r in second] == [(r.code, r.out, r.err) for r in first]
+    assert len(loads) == 3
+    files = (MODEL_B, DESK_DIR / "original.archmeta.json", DESK_DIR / "process_a.archmeta.json")
+    assert set(cli._models) == {hashlib.sha256(f.read_bytes()).digest() for f in files}
+
+
+def _variants(tmp_path: Path, n: int) -> list[str]:
+    """Paths of n model files, each the desk model B with its own bytes."""
+    data = MODEL_B.read_bytes()
+    paths = [tmp_path / f"model-{i}.json" for i in range(n)]
+    for i, path in enumerate(paths):
+        path.write_bytes(data + b"\n" * i)
+    return [str(path) for path in paths]
+
+
+def test_the_least_recently_used_model_is_dropped_first(loads, tmp_path):
+    a, b, c, d = _variants(tmp_path, 4)
+    held = {path: cli._load_model(path, "--model") for path in (a, b, c)}
+    assert cli._load_model(a, "--model") is held[a]
+    cli._load_model(d, "--model")
+    assert len(loads) == 4
+    assert cli._load_model(b, "--model") is not held[b]
+    assert len(loads) == 5
+    assert cli._load_model(a, "--model") is held[a]
+    assert len(loads) == 5
+
+
+def test_no_more_than_three_models_are_held(tmp_path, monkeypatch):
+    paths = _variants(tmp_path, 6)
+    made: list[weakref.ref[Metamodel]] = []
+    real = canonical.loads_model
+
+    def alive() -> int:
+        return sum(ref() is not None for ref in made)
+
+    def watched(text: str, strict: bool = True) -> Metamodel:
+        assert alive() <= 2  # the least recently used is freed before the build
+        model = real(text, strict)
+        made.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(canonical, "loads_model", watched)
+    for path in paths + paths[::-1]:
+        cli._load_model(path, "--model")
+        assert len(cli._models) <= 3
+        assert alive() <= 3
+    assert len(made) == 9  # six loads, then three of the reversed pass hit
 
 
 def test_cli_import_leaves_hashlib_unloaded():

@@ -3,12 +3,15 @@
 Times the stages that walk containment, preset constraint evaluation plus
 pattern detection, on a containment chain of depth n and of depth 2n, each
 with depth/2 dependencies pointing down the chain; the canonical JSON round
-trip and drift (model_delta) on a wide model of n and 2n entities with about
-three dependencies each; and the trace stage (coverage plus matrix) on n and
-2n source-side entities, each with one trace link. Only the ratio is checked,
-never an absolute time, so the gates hold on slow and fast hosts alike. Each
-gate times its n and 2n runs in alternation, so both sides sample the same
-stretch of the host's speed.
+trip, drift (model_delta) and the whole score pipeline (score_architecture)
+on a wide model of n and 2n entities with about three dependencies each; one
+view's render, parse and lift on n and 2n components with three dependencies
+each; and the trace stage (coverage plus matrix) on n and 2n source-side
+entities, each with one trace link. Only the ratio is checked, never an
+absolute time, so the gates hold on slow and fast hosts alike. Each gate times
+its n and 2n runs in alternation, so both sides sample the same stretch of the
+host's speed, with the cyclic collector paused, so that no full collection
+lands in one sample.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ import random
 from time import perf_counter
 from typing import Callable
 
+from archmeta import score_architecture
 from archmeta.constraints import evaluate_constraints, load_preset_constraints
-from archmeta.diagrams import dumps_model, loads_model
+from archmeta.diagrams import DiagramType, dumps_model, lift_diagram, loads_model, parse_diagram
+from archmeta.diagrams.render import render_diagram_view, view_format
+from archmeta.extract import ExpectedEntity
 from archmeta.extract.patterns import detect_patterns
 from archmeta.metrics.delta import model_delta
 from archmeta.model import (
@@ -59,12 +65,18 @@ def _chain(depth: int) -> Metamodel:
 
 def _best_pair(sample: Callable[[int], float], n: int) -> tuple[float, float]:
     """The best of REPEATS samples at n and at 2n, each n sample taken right
-    before a 2n one."""
+    before a 2n one, with the collector paused across all of them."""
     small = large = float("inf")
-    gc.collect()  # so that no full collection of the setup's objects lands in a sample
-    for _ in range(REPEATS):
-        small = min(small, sample(n))
-        large = min(large, sample(2 * n))
+    was_enabled = gc.isenabled()
+    gc.collect()  # the setup's garbage goes before the pause
+    gc.disable()
+    try:
+        for _ in range(REPEATS):
+            small = min(small, sample(n))
+            large = min(large, sample(2 * n))
+    finally:
+        if was_enabled:
+            gc.enable()
     return small, large
 
 
@@ -82,10 +94,9 @@ def test_containment_stages_scale_linearly_in_depth():
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
 
 
-def _wide(n: int) -> Metamodel:
-    """n entities of mixed kinds, each the source of three dependencies."""
+def _wide(n: int, kinds: tuple[EntityKind, ...] = tuple(EntityKind)) -> Metamodel:
+    """n entities of the given kinds, each the source of three dependencies."""
     rng = random.Random(n)
-    kinds = list(EntityKind)
     ids = [f"e{i:05d}" for i in range(n)]
     entities = [Entity(i, rng.choice(kinds), f"Entity {i}", description="does one thing")
                 for i in ids]
@@ -117,6 +128,35 @@ def test_drift_scales_linearly_in_entities():
         return perf_counter() - start
 
     small, large = _best_pair(drift, WIDE_N)
+    assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
+
+
+def test_score_pipeline_scales_linearly_in_entities():
+    preset = load_preset_constraints()
+
+    def score(n: int) -> float:
+        reference, model, baseline = _wide(n), _wide(n), _wide(n + 1)
+        expected = [ExpectedEntity(e.name, e.kind, "scan") for e in reference.entities]
+        view = DiagramType.ComponentView
+        artifacts = [(view.value, render_diagram_view(reference, view))]
+        start = perf_counter()
+        score_architecture(model, reference, baseline, expected, None, artifacts, preset)
+        return perf_counter() - start
+
+    small, large = _best_pair(score, WIDE_N)
+    assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
+
+
+def test_view_round_trip_scales_linearly_in_entities():
+    view = DiagramType.ComponentView
+    models = {n: _wide(n, (EntityKind.Component,)) for n in (WIDE_N, 2 * WIDE_N)}  # all shown
+
+    def round_trip(n: int) -> float:
+        start = perf_counter()
+        lift_diagram(parse_diagram(render_diagram_view(models[n], view), view_format(view), view))
+        return perf_counter() - start
+
+    small, large = _best_pair(round_trip, WIDE_N)
     assert large / small < MAX_RATIO, f"t(2n)/t(n) = {large / small:.2f} ({small:.4f}s -> {large:.4f}s)"
 
 
