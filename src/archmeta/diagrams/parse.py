@@ -5,6 +5,10 @@ Diagram with parse_status="failed" and a structured reason instead. Format
 detection looks at the text itself; diagram type is inferred from the parsed
 family where that is unambiguous (class, sequence, state, er) and left None
 otherwise unless the caller supplies a hint.
+
+Every parse records its outcome, parsed or the failure reason, under the
+text's digest and format, so check_parsability parses only texts this
+process has not parsed in that format before.
 """
 
 from __future__ import annotations
@@ -81,6 +85,57 @@ def _failure_reason(err: DiagramParseError) -> str:
     return str(err)
 
 
+_UNRECOGNIZED = ("unrecognized format: expected canonical JSON, "
+                 f"{PLANTUML.frame[0]}, or a mermaid header")
+
+# (source digest, format) -> "" for a text that parsed, else its failure reason
+# (never empty), least recently used first. Outcomes only: the elements and
+# edges of every artifact would hold megabytes, and only check_parsability
+# reads the record. At about 190 bytes an entry (digest string, key and dict
+# slot), 1024 entries hold the outcomes of any realistic artifact directory
+# in about 200 kB; an audit of more distinct texts than that evicts each
+# outcome before its next use.
+_OUTCOMES_HELD = 1024
+_outcomes: dict[tuple[str, DiagramFormat], str] = {}
+
+
+def _parse(text: str, digest: str, fmt: DiagramFormat, hinted: DiagramType | None) -> Diagram:
+    """Parse `text` as `fmt` and record the outcome under (digest, fmt)."""
+    try:
+        if fmt is DiagramFormat.canonical:
+            family, (elements, edges) = None, parse_canonical(text)
+        elif fmt is DiagramFormat.plantuml:
+            family, elements, edges = parse_plantuml(text)
+        else:
+            family, elements, edges = parse_mermaid(text)
+    except DiagramParseError as err:
+        diagram = Diagram(
+            format=fmt,
+            type=hinted,
+            source_digest=digest,
+            parse_status="failed",
+            failure_reason=_failure_reason(err),
+        )
+    else:
+        diagram = Diagram(
+            format=fmt,
+            type=hinted if hinted is not None else _FAMILY_TYPE.get(family),
+            elements=tuple(elements),
+            edges=tuple(edges),
+            source_digest=digest,
+        )
+    _record((digest, fmt), diagram.failure_reason)
+    return diagram
+
+
+def _record(key: tuple[str, DiagramFormat], reason: str) -> None:
+    """Hold `reason` under `key` as the most recently used outcome."""
+    _outcomes.pop(key, None)
+    _outcomes[key] = reason
+    if len(_outcomes) > _OUTCOMES_HELD:
+        del _outcomes[next(iter(_outcomes))]
+
+
 def parse_diagram(
     text: str,
     format: DiagramFormat | str | None = None,
@@ -96,38 +151,19 @@ def parse_diagram(
             type=hinted,
             source_digest=digest,
             parse_status="failed",
-            failure_reason="unrecognized format: expected canonical JSON, "
-                           f"{PLANTUML.frame[0]}, or a mermaid header",
+            failure_reason=_UNRECOGNIZED,
         )
-    try:
-        if fmt is DiagramFormat.canonical:
-            family, (elements, edges) = None, parse_canonical(text)
-        elif fmt is DiagramFormat.plantuml:
-            family, elements, edges = parse_plantuml(text)
-        else:
-            family, elements, edges = parse_mermaid(text)
-    except DiagramParseError as err:
-        return Diagram(
-            format=fmt,
-            type=hinted,
-            source_digest=digest,
-            parse_status="failed",
-            failure_reason=_failure_reason(err),
-        )
-    return Diagram(
-        format=fmt,
-        type=hinted if hinted is not None else _FAMILY_TYPE.get(family),
-        elements=tuple(elements),
-        edges=tuple(edges),
-        source_digest=digest,
-    )
+    return _parse(text, digest, fmt, hinted)
 
 
 def check_parsability(
     artifacts: Iterable[tuple[str, str]],
     formats: Sequence[DiagramFormat | str | None] | None = None,
 ) -> ArtifactSet:
-    """Audit a batch of (name, text) pairs; formats may pin each entry."""
+    """Audit a batch of (name, text) pairs; formats may pin each entry.
+
+    A text already parsed in this process in the same format is not parsed
+    again: its recorded outcome gives the same status."""
     items = list(artifacts)
     fmts: list[DiagramFormat | str | None]
     if formats is None:
@@ -138,13 +174,22 @@ def check_parsability(
             raise ValueError("formats must align one-to-one with artifacts")
     statuses = []
     for (name, text), fmt in zip(items, fmts):
-        diagram = parse_diagram(text, format=fmt)
+        digest = source_digest(text)
+        resolved = _coerce_format(fmt, text)
+        if resolved is None:
+            reason = _UNRECOGNIZED
+        else:
+            reason = _outcomes.get((digest, resolved))
+            if reason is None:
+                reason = _parse(text, digest, resolved, None).failure_reason
+            else:
+                _record((digest, resolved), reason)
         statuses.append(
             ArtifactStatus(
                 name=name,
-                format=diagram.format,
-                parse_status=diagram.parse_status,
-                failure_reason=diagram.failure_reason,
+                format=resolved or DiagramFormat.plantuml,
+                parse_status="failed" if reason else "parsed",
+                failure_reason=reason,
             )
         )
     return ArtifactSet(artifacts=tuple(statuses))

@@ -14,11 +14,9 @@ from typing import Iterable, Mapping, Sequence
 
 from ..model import Entity, EntityKind, Metamodel
 
-_STRIP = {"-", "_", ".", " "}
-
 
 def normalize_name(name: str) -> str:
-    return "".join(c for c in name.lower() if c not in _STRIP)
+    return name.lower().replace("-", "").replace("_", "").replace(".", "").replace(" ", "")
 
 
 def _singular(norm: str) -> str | None:

@@ -207,6 +207,12 @@ PATTERN_NAMES = (
 
 
 def detect_patterns(model: Metamodel) -> tuple[PatternHit, ...]:
+    """Every pattern that fires on the model, by name; computed once per
+    model and cached on it."""
+    return model.derived(_detect_all)
+
+
+def _detect_all(model: Metamodel) -> tuple[PatternHit, ...]:
     hits = [h for h in (d(model) for d in _DETECTORS) if h is not None]
     hits.sort(key=lambda h: h.name)
     return tuple(hits)

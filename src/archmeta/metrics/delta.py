@@ -47,6 +47,19 @@ def named_dependency_graph(
     model: Metamodel,
     relation_kinds: tuple[RelationKind, ...] = DEFAULT_DELTA_RELATIONS,
 ) -> NamedGraph:
+    """The model's entities by normalized name, and the edges of its relations
+    of `relation_kinds` between those names. The graph over the default kinds
+    is computed once per model and cached on it."""
+    if relation_kinds == DEFAULT_DELTA_RELATIONS:
+        return model.derived(_default_graph)
+    return _named_graph(model, relation_kinds)
+
+
+def _default_graph(model: Metamodel) -> NamedGraph:
+    return _named_graph(model, DEFAULT_DELTA_RELATIONS)
+
+
+def _named_graph(model: Metamodel, relation_kinds: tuple[RelationKind, ...]) -> NamedGraph:
     names = {eid: normalize_name(e.name) for eid, e in model.entity_index.items()}
     nodes = frozenset(names.values())
     edges = frozenset(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 from .errors import (
     ArchmetaError,
@@ -20,6 +20,8 @@ from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
 )
+
+_T = TypeVar("_T")
 
 
 class AbstractionLayer(enum.IntEnum):
@@ -352,6 +354,25 @@ class Metamodel:
     def _ancestor_tables(self) -> dict[EntityKind, dict[str, str | None]]:
         """kind -> its ancestor_table, filled on the first lookup of that kind."""
         return {}
+
+    @cached_property
+    def _derived(self) -> dict[Callable[[Metamodel], Any], Any]:
+        """compute -> compute(self), filled by derived()."""
+        return {}
+
+    def derived(self, compute: Callable[[Metamodel], _T]) -> _T:
+        """compute(self), computed on the first call with `compute` and cached
+        on the model, so the value lives and dies with it.
+
+        For layers above the model to keep what they derive from it, such as
+        drift graphs and pattern hits, without this module importing them.
+        `compute` must depend on nothing but the model and return a value
+        callers cannot change; every later call returns that same object.
+        """
+        memo = self._derived
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
 
     def ancestor_of_kind(self, entity_id: str, kind: EntityKind) -> str | None:
         """Nearest ancestor (or self) of the given kind via containment.

@@ -1,4 +1,5 @@
-"""Shared fixtures: the committed desk models and a CLI invocation helper."""
+"""Shared fixtures: the committed desk models, a CLI invocation helper, and a
+record of the texts the diagram parsers get."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from archmeta.cli import main
-from archmeta.diagrams import loads_model
+from archmeta.diagrams import loads_model, parse
 
 DESK_DIR = Path(__file__).parent / "fixtures" / "desk"
 
@@ -55,3 +56,20 @@ def invoke(*argv: str) -> CliResult:
 @pytest.fixture()
 def cli():
     return invoke
+
+
+@pytest.fixture()
+def parses(monkeypatch) -> list[str]:
+    """Every text the PlantUML and Mermaid parsers get from here on, with the
+    record of parse outcomes emptied first."""
+    monkeypatch.setattr(parse, "_outcomes", {})
+    seen: list[str] = []
+    for name in ("parse_plantuml", "parse_mermaid"):
+        real = getattr(parse, name)
+
+        def counting(text: str, real=real):
+            seen.append(text)
+            return real(text)
+
+        monkeypatch.setattr(parse, name, counting)
+    return seen

@@ -1,6 +1,8 @@
-"""The CLI's model memo: commands in one process that read the same model
+"""What commands in one process reuse. Commands that read the same model
 bytes share one loaded Metamodel, nothing they do changes it, and the memo
-holds the three models used last."""
+holds the three models used last; the drift graph and pattern hits derived
+from a held model are computed once; and `score` parses no artifact text
+that `lift` parsed before it."""
 
 from __future__ import annotations
 
@@ -17,7 +19,9 @@ import pytest
 import archmeta
 from archmeta import cli
 from archmeta.diagrams import canonical
-from archmeta.model import Metamodel
+from archmeta.extract.patterns import detect_patterns
+from archmeta.metrics.delta import named_dependency_graph
+from archmeta.model import Metamodel, RelationKind
 from archmeta.remote import EMBED_ENDPOINT_VAR
 from tests.conftest import DESK_DIR, invoke
 from tests.test_cli_outputs import CASES, _clear_outputs, work  # noqa: F401 (fixture)
@@ -142,14 +146,16 @@ def test_score_with_the_model_as_its_reference_matches_a_fresh_process(loads):
 
 
 def _assert_as_loaded(model: Metamodel, text: str) -> set[str]:
-    """`model` equals a fresh load of `text`, and so does each index cached on
-    it; returns the names of those indices."""
+    """`model` equals a fresh load of `text`, and so does each index and each
+    derived value cached on it; returns the names of those caches."""
     fresh = canonical.loads_model(text)
     assert model == fresh
     cached = vars(model)
     for name, value in cached.items():
         if name == "_ancestor_tables":
             assert value == {kind: fresh.ancestor_table(kind) for kind in value}, name
+        elif name == "_derived":
+            assert value == {compute: compute(fresh) for compute in value}, name
         else:
             assert value == getattr(fresh, name), name
     return set(cached)
@@ -175,7 +181,50 @@ def test_no_desk_command_changes_the_model_in_the_slot(work, monkeypatch):
     _clear_outputs(work)
     assert held >= 30
     assert {"relations_by_kind", "out_relations", "containment_parents",
-            "entity_ids_by_layer", "_ancestor_tables"} <= seen, seen
+            "entity_ids_by_layer", "_ancestor_tables", "_derived"} <= seen, seen
+
+
+def test_a_held_model_serves_its_drift_graph_and_pattern_hits_again():
+    model = cli._load_model(str(MODEL_B), "--model")
+    graph, hits = named_dependency_graph(model), detect_patterns(model)
+    assert hits
+    assert named_dependency_graph(model, (RelationKind.dependency,)) is graph
+    assert cli._load_model(str(MODEL_B), "--model") is model
+    assert named_dependency_graph(model) is graph
+    assert detect_patterns(model) is hits
+
+
+def test_other_relation_kinds_are_computed_not_served_from_the_cache():
+    model = cli._load_model(str(MODEL_B), "--model")
+    default = named_dependency_graph(model)
+    kinds = (RelationKind.dependency, RelationKind.data_flow)
+    wider = named_dependency_graph(model, kinds)
+    assert wider.edges > default.edges
+    again = named_dependency_graph(model, kinds)
+    assert again == wider and again is not wider
+    assert named_dependency_graph(model) is default
+
+
+def test_score_parses_no_artifact_that_lift_parsed(tmp_path, parses):
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    for path in sorted((DESK_DIR / "artifacts").iterdir()):
+        (artifacts / path.name).write_bytes(path.read_bytes())
+    views = {"c4-": "SystemContainer", "seq-": "EventDrivenView"}
+    for prefix, view in views.items():
+        lifted = [str(p) for p in sorted(artifacts.glob(prefix + "*")) if p.name != "c4-07.puml"]
+        argv = ["lift", "--type", view, "--output", str(tmp_path / f"{view}.json"), *lifted]
+        assert invoke(*argv).code == 0
+    argv = [str(artifacts) if arg == str(DESK_DIR / "artifacts") else arg for arg in SCORE_ARGV]
+    assert invoke(*argv).code == 0
+    texts = [p.read_text("utf-8") for p in sorted(artifacts.iterdir())]
+    assert len(set(texts)) == len(texts) == 50
+    assert sorted(parses) == sorted(texts)  # each text once, the broken one by score
+    edited = artifacts / "seq-03.mmd"
+    text = edited.read_text("utf-8").replace("Emitter 3", "Emitted 3")  # one byte
+    edited.write_text(text, encoding="utf-8")
+    assert invoke(*argv).code == 0
+    assert parses[50:] == [text]
 
 
 def test_a_repeated_desk_cycle_loads_each_model_once(loads, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,19 @@ def test_normalize_name_strips_case_and_separators():
     assert normalize_name("ledger_entry.py") == "ledgerentrypy"
     assert normalize_name("Order Service") == "orderservice"
     assert normalize_name("  ") == ""
+
+
+def _normalize_by_filter(name: str) -> str:
+    """normalize_name as a per-character filter over the lowered name: the
+    reference the string replacements must agree with."""
+    return "".join(c for c in name.lower() if c not in {"-", "_", ".", " "})
+
+
+def test_normalize_name_agrees_with_the_per_character_filter_on_every_code_point():
+    points = [chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF]
+    for start in range(0, len(points), 1024):
+        name = "".join(f"-{c}_{c}.{c} " for c in points[start:start + 1024])
+        assert normalize_name(name) == _normalize_by_filter(name), hex(ord(points[start]))
 
 
 def test_load_aliases_table():

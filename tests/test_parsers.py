@@ -7,17 +7,20 @@ import hashlib
 import pytest
 
 from archmeta.diagrams import (
+    ArtifactStatus,
     DiagramFormat,
     DiagramType,
     check_parsability,
     detect_format,
     parse_diagram,
 )
+from archmeta.diagrams import parse
 from archmeta.diagrams.canonical import parse_canonical
 from archmeta.diagrams.mermaid import parse_mermaid
 from archmeta.diagrams.plantuml import parse_plantuml
 from archmeta.diagrams.types import DiagramEdge, DiagramElement
 from archmeta.errors import DiagramSyntaxError, UnsupportedConstructError
+from tests.conftest import DESK_DIR
 
 
 def _elements(diagram):
@@ -281,3 +284,67 @@ def test_check_parsability_counts_and_alignment():
 
     with pytest.raises(ValueError):
         check_parsability(batch, formats=["plantuml"])
+
+
+# ---------------------------------------------------------------- recorded outcomes
+
+
+def _audit_batch() -> list[tuple[str, str]]:
+    """The desk artifacts, one of them broken, plus a broken text of each notation."""
+    files = sorted((DESK_DIR / "artifacts").iterdir())
+    return [(p.name, p.read_text("utf-8")) for p in files] + [
+        ("broken.puml", "@startuml\n[A] -->\n@enduml\n"),
+        ("broken.mmd", "graph TD\n  subgraph cluster\n  a --> b\n  end\n"),
+    ]
+
+
+def _statuses(batch: list[tuple[str, str]]) -> list[ArtifactStatus]:
+    statuses = []
+    for name, text in batch:
+        d = parse_diagram(text)
+        statuses.append(ArtifactStatus(name, d.format, d.parse_status, d.failure_reason))
+    return statuses
+
+
+def test_recorded_outcomes_audit_like_a_fresh_parse(parses):
+    batch = _audit_batch()
+    cold = check_parsability(batch)
+    assert len(parses) == len(batch)
+    warm = check_parsability(batch)
+    assert len(parses) == len(batch)  # every status came from the record
+    assert warm == cold
+    assert list(cold.artifacts) == _statuses(batch)
+    failed = {s.name: s.failure_reason for s in cold.artifacts if s.parse_status == "failed"}
+    assert sorted(failed) == ["broken.mmd", "broken.puml", "c4-07.puml"]
+    assert failed["broken.mmd"].startswith("unsupported: ")
+    assert failed["broken.puml"].startswith("syntax: ")
+
+
+def test_outcomes_recorded_by_parse_diagram_serve_the_audit(parses):
+    batch = _audit_batch()
+    expected = _statuses(batch)
+    assert len(parses) == len(batch)
+    assert list(check_parsability(batch).artifacts) == expected
+    assert len(parses) == len(batch)
+
+
+def test_an_outcome_under_a_pinned_format_is_not_served_under_the_detected_one(parses):
+    text = "@startuml\n[A] --> [B]\n@enduml\n"
+    assert parse_diagram(text, format="mermaid").parse_status == "failed"
+    assert check_parsability([("a.puml", text)]).artifacts == (
+        ArtifactStatus("a.puml", DiagramFormat.plantuml, "parsed"),
+    )
+    pinned = check_parsability([("a.puml", text)], formats=["mermaid"]).artifacts[0]
+    assert (pinned.format, pinned.parse_status) == (DiagramFormat.mermaid, "failed")
+    assert len(parses) == 2
+
+
+def test_the_outcome_record_drops_the_least_recently_used(parses, monkeypatch):
+    monkeypatch.setattr(parse, "_OUTCOMES_HELD", 2)
+    a, b, c = (f"graph TD\n  {n} --> z\n" for n in "abc")
+    check_parsability([("a", a), ("b", b), ("a", a), ("c", c)])
+    assert len(parse._outcomes) == 2
+    check_parsability([("a", a), ("c", c)])
+    assert parses == [a, b, c]
+    check_parsability([("b", b)])
+    assert parses == [a, b, c, b]
